@@ -454,7 +454,7 @@ def _worker_compile(task: Tuple[str, int, int, str]) -> Dict[str, object]:
     before = cache.stats.as_dict() if cache is not None else None
     try:
         outcome = compile_lowered(strategy, dim, k, cache=cache, engine=engine)
-    except ReproError as error:  # the owning request reports the failure
+    except Exception as error:  # noqa: BLE001 — the owning request reports it
         return {
             "cache": "error",
             "error": f"{type(error).__name__}: {error}",
@@ -540,8 +540,8 @@ def run_workload(
                 outcome = compile_lowered(
                     request.strategy, request.dim, request.k, cache=cache, engine=request.engine
                 )
-            except ReproError:
-                continue  # the owning request reports the failure below
+            except Exception:  # noqa: BLE001 — the owning request reports it below
+                continue
             if outcome.cache_hit:
                 warm_hits += 1
         rows = [

@@ -21,6 +21,7 @@ from repro.ir import (
     fuse_single_qudit,
     lower_circuit_to_table,
 )
+from repro.ir.table import OP_STAR, OP_UNITARY
 from repro.passes import (
     CancelAdjacentInverses,
     DropIdentities,
@@ -29,9 +30,10 @@ from repro.passes import (
 )
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Value
-from repro.qudit.gates import XPerm, XPlus
+from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.sim import Statevector, available_backends, get_backend, permutation_index_table
+from repro.synth import registry
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +216,151 @@ def test_table_passes_match_object_passes(seed):
         assert_ops_identical(expected, actual)
         via_run_table = object_pass.run_table(full.to_table()).to_circuit()
         assert_ops_identical(expected, via_run_table)
+
+
+# ----------------------------------------------------------------------
+# Event-driven cancel kernel vs the object pass (the hand-written sweep)
+# ----------------------------------------------------------------------
+CYCLE = XPerm((1, 2, 0), label="C")
+X01 = XPerm((1, 0, 2), label="X01")
+X12 = XPerm((0, 2, 1), label="X12")
+
+
+def _cancel_matches_object_pass(ops, num_wires, dim=3):
+    """Run the kernel on ``ops``; assert it equals the object pass."""
+    circuit = QuditCircuit(num_wires, dim).extend(ops)
+    table = circuit.to_table()
+    out = cancel_adjacent_inverses(table)
+    expected = CancelAdjacentInverses().run(circuit)
+    assert_ops_identical(expected, out.to_circuit())
+    return table, out
+
+
+def _gate(payload, target, *controls):
+    return Operation(payload, target, controls=[(w, Value(v)) for w, v in controls])
+
+
+def test_cancel_nested_cascade():
+    a, b = _gate(CYCLE, 0, (1, 0)), _gate(X01, 1, (2, 1))
+    table, out = _cancel_matches_object_pass([a, b, b.inverse(), a.inverse()], 3)
+    assert len(out) == 0
+    # A deep cascade: every closing row walks back past the pairs inside it.
+    opening = [_gate(CYCLE, 0, (1, i % 3)) for i in range(40)]
+    _, out = _cancel_matches_object_pass(opening + [op.inverse() for op in reversed(opening)], 2)
+    assert len(out) == 0
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 7])
+def test_cancel_alternating_chains(length):
+    a = _gate(CYCLE, 0, (1, 2))
+    ops = [a if i % 2 == 0 else a.inverse() for i in range(length)]
+    _, out = _cancel_matches_object_pass(ops, 2)
+    assert len(out) == length % 2
+
+
+def test_cancel_pairs_separated_by_wire_disjoint_rows():
+    a = _gate(CYCLE, 0, (1, 0))
+    spacers = [_gate(X01, 2), _gate(X12, 3, (2, 1)), StarShiftOp(2, 3, +1)]
+    _, out = _cancel_matches_object_pass([a, *spacers, a.inverse(), *spacers], 4)
+    assert len(out) == 2 * len(spacers)
+    # A spacer that touches one of the pair's wires blocks the cancellation.
+    _, out = _cancel_matches_object_pass([a, _gate(X01, 1), a.inverse()], 4)
+    assert len(out) == 3
+
+
+def test_cancel_child_walks_back_past_several_removed_rows():
+    """``c†`` follows a removed later row, so it walks back to its real
+    prior ``c`` past three removed pairs on one or both of its wires."""
+    c = _gate(CYCLE, 0, (1, 0))
+    inner = [
+        _gate(X01, 0),
+        _gate(X01, 0),
+        _gate(X12, 1, (2, 1)),
+        _gate(X12, 1, (2, 1)),
+        _gate(X01, 1, (0, 2)),
+        _gate(X01, 1, (0, 2)),
+    ]
+    table, out = _cancel_matches_object_pass([c, *inner, c.inverse(), _gate(X01, 0)], 3)
+    assert len(out) == 1
+    # The same shape behind a kept row: the walk stops at the first live row.
+    blocker = _gate(X12, 1)
+    _, out = _cancel_matches_object_pass([c, blocker, *inner, c.inverse()], 3)
+    assert len(out) == 3
+
+
+def test_cancel_rows_with_overflow_controls():
+    wide = _gate(CYCLE, 0, (1, 0), (2, 1), (3, 2), (4, 0))
+    other = _gate(CYCLE, 0, (1, 0), (2, 1), (3, 2), (4, 1))
+    table, out = _cancel_matches_object_pass(
+        [wide, _gate(X01, 5), wide.inverse(), other, _gate(X01, 4), other.inverse()], 6
+    )
+    assert (table.extra >= 0).any()
+    assert len(out) == 4
+    # A row touching only an overflow control wire blocks like any other.
+    _, out = _cancel_matches_object_pass([wide, _gate(X12, 4), wide.inverse()], 5)
+    assert len(out) == 3
+    # Rows equal up to their second or overflow control never cancel, both
+    # as direct neighbours and behind a removed pair (the walk's check).
+    pair = [_gate(X01, 0), _gate(X01, 0)]
+    for ops in (
+        [_gate(CYCLE, 0, (1, 0), (2, 0)), _gate(CYCLE, 0, (1, 0), (3, 0)).inverse()],
+        [wide, *pair, other.inverse()],
+    ):
+        _, out = _cancel_matches_object_pass(ops, 6)
+        assert len(out) == 2
+
+
+def test_cancel_star_and_unitary_rows():
+    star = StarShiftOp(0, 1, +1, controls=[(2, Value(1))])
+    phase = SingleQuditUnitary(np.diag(np.exp(2j * np.pi * np.arange(3) / 3)), label="Z")
+    unitary = Operation(phase, 2, controls=[(0, Value(0))])
+    ops = [star, unitary, unitary.inverse(), star.inverse(), star, star]
+    table, out = _cancel_matches_object_pass(ops, 3)
+    assert (table.opcode == OP_STAR).any() and (table.opcode == OP_UNITARY).any()
+    assert len(out) == 2
+    # Same wires, not inverse: nothing cancels.
+    _, out = _cancel_matches_object_pass([unitary, unitary, star, star], 3)
+    assert len(out) == 4
+
+
+def test_cancel_empty_none_and_all():
+    empty = QuditCircuit(3, 3).to_table()
+    assert cancel_adjacent_inverses(empty) is empty
+    ops = [_gate(CYCLE, 0, (1, 0)), _gate(CYCLE, 0, (1, 0)), _gate(X01, 1), _gate(X12, 1)]
+    table, out = _cancel_matches_object_pass(ops, 2)
+    assert out is table  # nothing cancels: the input table itself
+    everything = [_gate(X01, w % 3, ((w + 1) % 3, w % 2)) for w in range(12)]
+    everything += [op.inverse() for op in reversed(everything)]
+    _, out = _cancel_matches_object_pass(everything, 3)
+    assert len(out) == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cancel_random_cascades(seed):
+    """Random circuits, each row sometimes followed by its inverse (or an
+    ``a† a`` bounce), then the whole circuit's inverse appended."""
+    rng = random.Random(seed)
+    base = random_circuit(seed, num_wires=2 + seed % 4, dim=3 + seed % 2, num_ops=25)
+    ops = []
+    for op in base.ops:
+        ops.append(op)
+        roll = rng.random()
+        if roll < 0.3:
+            ops.append(op.inverse())
+        elif roll < 0.4:
+            ops.extend([op.inverse(), op])
+    ops += QuditCircuit(base.num_wires, base.dim).extend(ops).inverse().ops
+    _cancel_matches_object_pass(ops, base.num_wires, base.dim)
+
+
+@pytest.mark.parametrize("strategy,dim,k", [("mct", 3, 12), ("pk", 5, 6)])
+def test_lowered_tables_match_object_engine(strategy, dim, k):
+    """Real lowered tables (the kernel's production input) against the
+    object lowering engine, gate-for-gate."""
+    circuit = registry.synthesize(strategy, dim, k).circuit
+    table = lower_circuit_to_table(circuit)
+    expected = lower_to_g_gates(circuit, engine="object")
+    assert_ops_identical(expected, table.to_circuit())
 
 
 def test_pipeline_run_table_stays_columnar():

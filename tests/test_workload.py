@@ -249,6 +249,22 @@ def test_poisoned_request_does_not_kill_the_workload(tmp_path, monkeypatch):
     assert pooled.rows[0]["ok"] and pooled.rows[2]["ok"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compile_phase_exception_is_reported_by_its_request(tmp_path, jobs):
+    """A non-ReproError raised while warming the compile phase (numpy
+    refusing a d^k-sized array) must land in the owning request's row, not
+    abort the workload before any row exists."""
+    spec = WorkloadSpec.from_dict({"requests": [
+        {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 19},
+        {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3},
+    ]})
+    report = run_workload(spec, jobs=jobs, cache_dir=tmp_path / "cache")
+    assert len(report.rows) == 2
+    assert report.rows[0]["ok"] is False
+    assert report.rows[0]["error"].startswith("ValueError")
+    assert report.rows[1]["ok"] is True
+
+
 def test_pooled_cache_stats_are_the_sum_of_worker_counters(tmp_path):
     """Pooled stats come from the workers' real CacheStats deltas.
 
