@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Columnar-IR vs object-IR wall clock on lower + optimize + count.
 
-Benchmarks the two lowering engines behind ``lower_to_g_gates`` on
+Benchmarks ``lower_to_g_gates`` against its object reference on
 ``synthesize_mct(3, k)``:
 
-* ``object`` — the pass pipeline over per-op Python objects (the PR-2 path);
-* ``table``  — template expansion straight into the struct-of-arrays
-  :class:`~repro.ir.table.GateTable` plus the columnar cancel/drop kernels,
-  counting (G-gates, two-qudit gates, depth) directly on the columns.
+* ``object`` — ``default_lowering_pipeline().run``, the pass pipeline over
+  per-op Python objects;
+* ``table``  — ``lower_to_g_gates``: template expansion straight into the
+  struct-of-arrays :class:`~repro.ir.table.GateTable` plus the columnar
+  cancel/drop kernels, counting (G-gates, two-qudit gates, depth) directly
+  on the columns.
 
-Both engines must produce gate-for-gate identical circuits (same G-counts,
+Both paths must produce gate-for-gate identical circuits (same G-counts,
 same depth; op-sequence equality is asserted on the smallest case).  The
 full run requires a >= 5x table-vs-object speedup at k >= 64 and reports the
 peak traced allocation of each path (the payload pools intern each repeated
@@ -41,14 +43,15 @@ from _harness import RESULTS_DIR, emit_json, emit_table
 from repro import lower_to_g_gates, synthesize_mct
 from repro.bench import render_table
 from repro.ir import lowering as ir_lowering
+from repro.passes import default_lowering_pipeline
 
 #: Required table-vs-object speedup at k >= SPEEDUP_K (full runs only).
 SPEEDUP_FLOOR = 5.0
 SPEEDUP_K = 64
 
 
-def lower_and_count(circuit, engine):
-    lowered = lower_to_g_gates(circuit, engine=engine)
+def lower_and_count(circuit, lower):
+    lowered = lower(circuit)
     counts = {
         "g_gates": lowered.g_gate_count(),
         "two_qudit_gates": lowered.two_qudit_count(),
@@ -92,15 +95,15 @@ def main() -> int:
     for index, k in enumerate(ks):
         result = synthesize_mct(dim, k)
         circuit = result.circuit
-        # Cold-start the table engine: forget expansion templates cached by
+        # Cold-start table lowering: forget expansion templates cached by
         # earlier cases so every measurement includes template construction.
         ir_lowering._TEMPLATE_OPS_CACHE.clear()
 
         (object_circuit, object_counts), object_seconds, object_peak = timed_with_peak(
-            lambda: lower_and_count(circuit, "object")
+            lambda: lower_and_count(circuit, default_lowering_pipeline().run)
         )
         (table_circuit, table_counts), table_seconds, table_peak = timed_with_peak(
-            lambda: lower_and_count(circuit, "table")
+            lambda: lower_and_count(circuit, lower_to_g_gates)
         )
         speedup = object_seconds / table_seconds
         if object_counts != table_counts:
@@ -146,7 +149,7 @@ def main() -> int:
         rows,
         title=(
             f"Columnar IR: lower+optimize+count on synthesize_mct(d={dim}, k) — "
-            "table engine vs object engine (identical outputs)"
+            "table lowering vs object reference (identical outputs)"
         ),
     )
     stem = "ir_tables_quick" if args.quick else "ir_tables"

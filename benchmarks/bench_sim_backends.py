@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Old-vs-new simulation engine wall-clock comparison.
 
-Verifies a lowered multi-controlled Toffoli three ways and times each:
+Verifies a lowered multi-controlled Toffoli and times each path:
 
 * ``legacy`` — the seed simulator reproduced verbatim below: every gate is
   applied to every one of the ``d^n`` basis states in a pure-Python loop;
-* ``dense``  — the vectorized flat-index engine (cached gather tables);
-* ``tensor`` — the vectorized axis-wise engine on the ``(d,)*n`` view.
+* ``vectorized table`` — the whole-basis gather table of the lowered circuit;
+* ``statevector[...]`` — a uniform statevector swept through the lowered
+  circuit on every registered engine (``dense``, ``sparse``, ``streaming``).
 
-Both new engines must produce bit-identical permutation tables, identical
-statevector amplitudes, and pass the same ``verify.assert_*`` checks; the
+The vectorized table must equal the legacy one bit for bit, every engine
+must produce the same amplitudes and pass the same ``repro.sim.assert_*``
+checks; the
 legacy-vs-vectorized speedup for the default case (``synthesize_mct(dim=3,
 num_controls=6)`` lowered to G-gates) is required to be at least 10x.
 
@@ -118,7 +120,7 @@ def main() -> int:
             return 1
 
     # ------------------------------------------------------------------
-    # The verify.assert_* checks must pass identically on every backend.
+    # The assert_* checks must pass identically on every backend.
     # ------------------------------------------------------------------
     assert_mct_spec(lowered, result.controls, result.target)
     gate = random_unitary_gate(3, seed=5)

@@ -14,8 +14,8 @@ This example walks through the paper's headline results on a laptop scale:
 7. the columnar IR: lowering through struct-of-arrays gate tables and how
    the table path compares to the object pipeline on wall clock;
 8. differential fuzzing: a seeded block of random artifacts through every
-   redundant engine pair (``python -m repro fuzz`` runs the same oracles
-   on a wall-clock budget);
+   production path and its reference (``python -m repro fuzz`` runs the
+   same oracles on a wall-clock budget);
 9. batch execution: the persistent content-addressed compile cache (warm
    compiles skip synthesis entirely) and batched simulation (B states per
    composed gather instead of one statevector at a time);
@@ -108,8 +108,8 @@ def main() -> None:
         print(f"  {backend:>7}: P(0,0 -> target=1) = {state.probability((0, 0, 1)):.3f}")
     print()
 
-    # ``lower_to_g_gates`` (unchanged for callers) runs this pass pipeline
-    # under the hood; running it by hand shows where gates are saved.
+    # ``lower_to_g_gates`` reproduces this reference pass pipeline gate for
+    # gate on columnar tables; running it by hand shows where gates are saved.
     pipeline = default_lowering_pipeline()
     pipeline.run(tiny.circuit)
     print("== Lowering pass pipeline ==")
@@ -148,26 +148,30 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 7. The columnar IR: gate tables vs per-op objects.
     # ------------------------------------------------------------------
-    # ``lower_to_g_gates`` lowers through the struct-of-arrays GateTable by
-    # default (cached expansion templates + columnar peephole kernels); the
-    # object pipeline is still available via ``engine="object"`` and is
-    # gate-for-gate identical — just much slower once circuits get big.
+    # ``lower_to_g_gates`` lowers through the struct-of-arrays GateTable
+    # (cached expansion templates + columnar peephole kernels); the object
+    # pass pipeline ``default_lowering_pipeline().run`` is the plain
+    # reference it is checked against — gate-for-gate identical, just much
+    # slower once circuits get big.
     big = synthesize_mct(dim=3, num_controls=12)
     timings = {}
-    for engine in ("object", "table"):
+    for path, lower in (
+        ("object", default_lowering_pipeline().run),
+        ("table", lower_to_g_gates),
+    ):
         start = time.perf_counter()
-        lowered = lower_to_g_gates(big.circuit, engine=engine)
+        lowered = lower(big.circuit)
         counts = (lowered.g_gate_count(), lowered.depth())
-        timings[engine] = (time.perf_counter() - start, counts)
+        timings[path] = (time.perf_counter() - start, counts)
     print("== Columnar IR: lower+optimize+count on the 12-controlled qutrit Toffoli ==")
-    for engine, (seconds, (g_count, depth)) in timings.items():
-        print(f"  {engine:>7}: {seconds:7.3f} s   ({g_count} G-gates, depth {depth})")
+    for path, (seconds, (g_count, depth)) in timings.items():
+        print(f"  {path:>7}: {seconds:7.3f} s   ({g_count} G-gates, depth {depth})")
     assert timings["object"][1] == timings["table"][1]
     speedup = timings["object"][0] / timings["table"][0]
     print(f"  table-path speedup: {speedup:.1f}x (identical gate counts and depth)")
     # The table form is live on the lowered circuit: counting, inversion and
     # simulation all run on numpy columns with interned payloads.
-    table = lowered.cached_table  # the loop's last iteration is the table engine
+    table = lowered.cached_table  # the loop's last iteration is lower_to_g_gates
     print(
         f"  {table.num_ops()} rows share {len(table.pools.perms)} interned payloads "
         f"and {len(table.pools.preds)} predicates"
@@ -175,12 +179,13 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 8. Differential fuzzing: every redundant engine pair agrees.
+    # 8. Differential fuzzing: every production path agrees with its reference.
     # ------------------------------------------------------------------
-    # The object/table engines, the simulation backends and the analytic
-    # estimator are independent implementations of one semantics; the fuzz
-    # subsystem generates seeded random circuits, synthesis instances and
-    # pass pipelines and checks them against each other.  Any divergence is
+    # Table lowering, the simulation backends and the analytic estimator
+    # each have a plain reference (the object pass pipeline, the dense
+    # per-op walk, materialised counting); the fuzz subsystem generates
+    # seeded random circuits, synthesis instances and pass pipelines and
+    # checks each path against its reference.  Any divergence is
     # shrunk to a few-op reproducer and reported with its case seed.
     from repro.fuzz import fuzz_run
 
@@ -195,7 +200,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 9. Batch execution: compile cache + batched simulation.
     # ------------------------------------------------------------------
-    # The compile cache content-addresses (strategy, d, k, pipeline, engine,
+    # The compile cache content-addresses (strategy, d, k, stage, pipeline,
     # code-version salt) and stores the lowered GateTable as .npz; a warm
     # request never synthesises or lowers.  Here the second compile of the
     # same scenario comes straight from the in-process memo.

@@ -9,16 +9,15 @@ Quick scenario exploration over the synthesis registry:
 * ``python -m repro synthesize mct 3 5 --verify --lower`` — build a circuit
   through the registry, optionally check it against its semantic
   specification and lower it to G-gates;
-* ``python -m repro simulate mct 3 6 --backend tensor --state 0,0,0,0,0,0,2``
+* ``python -m repro simulate mct 3 6 --backend sparse --state 0,0,0,0,0,0,2``
   — build, lower and actually run a circuit on a chosen basis state through
   a simulation backend (``--backend`` offers every registered engine;
-  ``--backend streaming --memory-budget 8M`` runs memory-tiled);
-  ``--table`` (default) lowers through the columnar ``GateTable`` fast
-  path, ``--no-table`` through the object pipeline.
+  ``--backend streaming --memory-budget 8M`` runs memory-tiled).
 * ``python -m repro fuzz --time-budget 20 --seed 0 --json`` — differential
   fuzzing: seeded random circuits, synthesis instances and pass pipelines
-  through every redundant engine pair (see :mod:`repro.fuzz`); exits
-  non-zero on any divergence, with failures shrunk to minimal reproducers.
+  through every production path and its reference (see :mod:`repro.fuzz`);
+  exits non-zero on any divergence, with failures shrunk to minimal
+  reproducers.
 * ``python -m repro batch --workload spec.json --jobs 4 --cache-dir .cache``
   — run a JSON workload (synthesize / simulate / estimate requests) through
   the persistent content-addressed compile cache: requests sharing a cache
@@ -105,11 +104,11 @@ def _cmd_list(args) -> int:
                 "payload": caps.payload,
             }
         )
-    from repro.sim import SparseBackend, backend_availability, get_backend
+    from repro.sim import SparseBackend, available_backends, get_backend
 
-    availability = backend_availability()
+    backends = list(available_backends())
     sparse_info = None
-    if availability.get("sparse") == "available":
+    if "sparse" in backends:
         engine = get_backend("sparse")
         if isinstance(engine, SparseBackend):
             sparse_info = {
@@ -117,20 +116,21 @@ def _cmd_list(args) -> int:
                 "densify_to": engine.densify_to,
             }
     if args.json:
-        payload = {"strategies": rows, "backends": availability}
+        payload = {"strategies": rows, "backends": backends}
         if sparse_info is not None:
             payload["sparse"] = sparse_info
         print(json.dumps(payload, indent=2, ensure_ascii=False))
     else:
         print(render_table(rows, title="Registered synthesis strategies"))
         print("\nSimulation backends:")
-        for name, status in availability.items():
+        for name in backends:
+            note = ""
             if name == "sparse" and sparse_info is not None:
-                status = (
-                    f"{status} (densifies to {sparse_info['densify_to']!r} past "
+                note = (
+                    f" (densifies to {sparse_info['densify_to']!r} past "
                     f"occupancy {sparse_info['max_occupancy']:g})"
                 )
-            print(f"  {name:<10} {status}")
+            print(f"  {name}{note}")
         print("\nuse: python -m repro estimate <d> <k> [--strategy NAME]")
     return 0
 
@@ -289,8 +289,7 @@ def _cmd_simulate(args) -> int:
     circuit = result.circuit
 
     start = time.perf_counter()
-    engine = "table" if args.table else "object"
-    lowered = lower_to_g_gates(circuit, engine=engine) if circuit.is_permutation else circuit
+    lowered = lower_to_g_gates(circuit) if circuit.is_permutation else circuit
     lower_seconds = time.perf_counter() - start
 
     if args.state:
@@ -310,7 +309,6 @@ def _cmd_simulate(args) -> int:
         "d": args.d,
         "k": args.k,
         "backend": args.backend,
-        "path": engine,
         "gates": lowered.num_ops(),
         "lower_seconds": round(lower_seconds, 4),
         "sim_seconds": round(sim_seconds, 4),
@@ -324,7 +322,7 @@ def _cmd_simulate(args) -> int:
     else:
         title = (
             f"Simulate {strategy.name}: d={args.d}, k={args.k} "
-            f"[{engine} path, backends: {'/'.join(available_backends())}]"
+            f"[backends: {'/'.join(available_backends())}]"
         )
         print(render_table([row], title=title))
     return 0
@@ -590,12 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(needs --backend streaming)",
     )
     p_sim.add_argument(
-        "--table",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="lower through the columnar GateTable fast path (--no-table: object pipeline)",
-    )
-    p_sim.add_argument(
         "--state", help="input basis state digits, e.g. 0,0,1,2 (default: all zeros)"
     )
     p_sim.add_argument("--json", action="store_true", help="emit JSON")
@@ -707,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fuzz = sub.add_parser(
-        "fuzz", help="differential fuzzing across every redundant engine pair"
+        "fuzz", help="differential fuzzing: every production path against its reference"
     )
     p_fuzz.add_argument("--seed", type=int, default=0, help="base seed (case i uses seed+i)")
     p_fuzz.add_argument(

@@ -56,14 +56,13 @@ class WorkloadRequest:
     strategy: str
     dim: int
     k: int
-    #: Lowering engine for compile-bearing kinds.
-    engine: str = "table"
-    #: Simulation backend (simulate only).
+    #: Simulation backend: a registered engine name (simulate only).
     backend: str = "dense"
     #: Basis states to simulate, as digit rows (simulate only; default |0...0⟩).
     states: Tuple[Tuple[int, ...], ...] = ()
-    #: Byte budget for the ``streaming`` backend (simulate only; accepts
-    #: ``"8M"``-style strings in the JSON, normalised to bytes here).
+    #: Byte budget for the ``streaming`` backend (simulate with
+    #: ``backend: "streaming"`` only; accepts ``"8M"``-style strings in the
+    #: JSON, normalised to bytes here).
     memory_budget: Optional[int] = None
     #: Verification level: a budget preset name (``smoke``/``standard``/
     #: ``audit``) — the synthesised macro is checked against the strategy's
@@ -83,8 +82,7 @@ class WorkloadRequest:
         if missing:
             raise WorkloadError(f"request {index}: missing field(s) {missing}")
         unknown = set(raw) - {
-            "kind", "strategy", "d", "k", "engine", "backend", "states", "memory_budget",
-            "verify",
+            "kind", "strategy", "d", "k", "backend", "states", "memory_budget", "verify",
         }
         if unknown:
             raise WorkloadError(f"request {index}: unknown field(s) {sorted(unknown)}")
@@ -116,11 +114,27 @@ class WorkloadRequest:
             ) from None
         if states and kind != "simulate":
             raise WorkloadError(f"request {index}: states only applies to simulate requests")
+        backend = str(raw.get("backend", "dense"))
+        if "backend" in raw:
+            from repro.sim import available_backends
+
+            if kind != "simulate":
+                raise WorkloadError(f"request {index}: backend only applies to simulate requests")
+            if backend not in available_backends():
+                raise WorkloadError(
+                    f"request {index}: unknown backend {backend!r}; "
+                    f"expected one of {list(available_backends())}"
+                )
         memory_budget = raw.get("memory_budget")
         if memory_budget is not None:
             if kind != "simulate":
                 raise WorkloadError(
                     f"request {index}: memory_budget only applies to simulate requests"
+                )
+            if backend != "streaming":
+                raise WorkloadError(
+                    f"request {index}: memory_budget needs backend \"streaming\", "
+                    f"got {backend!r}"
                 )
             from repro.exceptions import GateError
             from repro.sim.streaming import parse_memory_budget
@@ -134,8 +148,7 @@ class WorkloadRequest:
             strategy=str(raw["strategy"]),
             dim=dim,
             k=k,
-            engine=str(raw.get("engine", "table")),
-            backend=str(raw.get("backend", "dense")),
+            backend=backend,
             states=states,
             memory_budget=memory_budget,
             verify=verify,
@@ -148,8 +161,6 @@ class WorkloadRequest:
             "d": self.dim,
             "k": self.k,
         }
-        if self.engine != "table":
-            out["engine"] = self.engine
         if self.backend != "dense":
             out["backend"] = self.backend
         if self.states:
@@ -175,7 +186,7 @@ class WorkloadRequest:
             from repro.synth import registry
 
             strategy = registry.auto_select(self.dim, self.k).strategy.name
-        return lowered_key(strategy, self.dim, self.k, engine=self.engine, salt=salt)
+        return lowered_key(strategy, self.dim, self.k, salt=salt)
 
 
 @dataclass
@@ -270,13 +281,7 @@ def execute_request(
                 cache="n/a",
             )
         else:
-            outcome = compile_lowered(
-                request.strategy,
-                request.dim,
-                request.k,
-                cache=cache,
-                engine=request.engine,
-            )
+            outcome = compile_lowered(request.strategy, request.dim, request.k, cache=cache)
             circuit = outcome.circuit
             row.update(
                 strategy=outcome.strategy,  # "auto" resolved to the winner
@@ -378,15 +383,12 @@ def _simulate(request: WorkloadRequest, circuit) -> List[str]:
         images = circuit.to_table().apply_to_indices(indices)
         digits = indices_to_digits(images, request.dim, circuit.num_wires)
         return ["".join(str(int(x)) for x in row) for row in digits]
-    backend = get_backend(request.backend)  # fail fast on unknown engines
     if request.memory_budget is not None:
-        if request.backend != "streaming":
-            raise WorkloadError(
-                f"memory_budget needs the streaming backend, got {request.backend!r}"
-            )
         from repro.sim.streaming import StreamingBackend
 
         backend = StreamingBackend(request.memory_budget)
+    else:
+        backend = get_backend(request.backend)
     batch = BatchedStatevector.from_basis_states(
         list(rows), request.dim, backend=backend
     )
@@ -448,12 +450,12 @@ def _init_worker(cache_dir: Optional[str], salt: str) -> None:
     _WORKER_CACHE = CompileCache(cache_dir, salt=salt)
 
 
-def _worker_compile(task: Tuple[str, int, int, str]) -> Dict[str, object]:
-    strategy, dim, k, engine = task
+def _worker_compile(task: Tuple[str, int, int]) -> Dict[str, object]:
+    strategy, dim, k = task
     cache = _WORKER_CACHE
     before = cache.stats.as_dict() if cache is not None else None
     try:
-        outcome = compile_lowered(strategy, dim, k, cache=cache, engine=engine)
+        outcome = compile_lowered(strategy, dim, k, cache=cache)
     except Exception as error:  # noqa: BLE001 — the owning request reports it
         return {
             "cache": "error",
@@ -537,9 +539,7 @@ def run_workload(
     if not use_pool:
         for key, request in plan.compiles.items():
             try:
-                outcome = compile_lowered(
-                    request.strategy, request.dim, request.k, cache=cache, engine=request.engine
-                )
+                outcome = compile_lowered(request.strategy, request.dim, request.k, cache=cache)
             except Exception:  # noqa: BLE001 — the owning request reports it below
                 continue
             if outcome.cache_hit:
@@ -549,10 +549,7 @@ def run_workload(
             for index, request in enumerate(spec.requests)
         ]
     else:
-        tasks = [
-            (request.strategy, request.dim, request.k, request.engine)
-            for request in plan.compiles.values()
-        ]
+        tasks = [(request.strategy, request.dim, request.k) for request in plan.compiles.values()]
         # Sized for the request phase — dedup can shrink the compile phase
         # to one task, but the (possibly many) requests still fan out.
         with context.Pool(

@@ -1,10 +1,10 @@
 """Differential fuzzing: generators, cross-engine oracles, failure shrinking.
 
-The repo carries four independent implementations of the paper's circuit
-semantics (object vs. columnar lowering, object vs. table pass kernels,
-dense vs. tensor vs. whole-basis-gather simulation, analytic estimation vs.
-materialised counting).  This package turns that redundancy into a test
-oracle: seeded random artifacts (:mod:`repro.fuzz.generators`) are pushed
+The repo pairs each production path with a plain reference for the same
+circuit semantics (object-pipeline vs. columnar lowering, object vs. table
+pass kernels, dense per-op vs. every simulation engine and the
+whole-basis gather, analytic estimation vs. materialised counting).  This
+package turns those pairs into a test oracle: seeded random artifacts (:mod:`repro.fuzz.generators`) are pushed
 through every redundant path (:mod:`repro.fuzz.oracles`), and any
 divergence is minimised to a few-op reproducer
 (:mod:`repro.fuzz.shrink`).

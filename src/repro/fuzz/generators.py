@@ -7,7 +7,7 @@ Three kinds of artifacts are generated, each fully determined by a seed:
   dense single-qudit unitaries and ``|⋆⟩``-star macros, with a configurable
   control-predicate mix (``Value`` / ``Odd`` / ``EvenNonZero`` / ``InSet``),
   wire count, dimension and depth.  ``lowerable=True`` restricts the stream
-  to what the G-gate lowering engines accept (permutation payloads, at most
+  to what G-gate lowering accepts (permutation payloads, at most
   two controls, one ordinary control per star gate) and enforces the
   ancilla discipline the even-``d`` gadget needs (one idle borrowable wire).
 * **synthesis instances** (:func:`random_synthesis_instance`) — a
@@ -220,8 +220,8 @@ def random_basis_state(rng: random.Random, dim: int, num_wires: int) -> Tuple[in
 def random_circuit_scenario(rng: random.Random) -> Dict[str, object]:
     """Random circuit-shape knobs bounded for oracle feasibility.
 
-    The cap on ``dim ** num_wires`` keeps every redundant path (dense and
-    tensor statevectors, whole-basis gather tables) cheap per case.
+    The cap on ``dim ** num_wires`` keeps every redundant path (every
+    registered statevector engine, whole-basis gather tables) cheap per case.
     """
     dim = rng.choice([3, 3, 4, 5])
     max_wires = 1

@@ -1,12 +1,13 @@
 """Differential oracles: run one artifact through every redundant path.
 
-The repo deliberately carries redundant implementations of the same
-semantics — object vs. columnar lowering engines, object vs. table pass
-kernels, dense vs. tensor vs. whole-basis-gather simulation, analytic
-estimation vs. materialised counting, circuits vs. their ``GateTable``
-twins.  Each oracle here runs one generated artifact through two or more of
-those paths and reports the first divergence as a human-readable message
-(``None`` means every path agreed).
+The repo keeps one production path per layer plus a plain reference for
+it — the object pass pipeline for columnar lowering, object pass kernels
+for the table kernels, the dense per-op walk for every simulation engine
+and the whole-basis gather, materialised counting for analytic
+estimation, circuits for their ``GateTable`` twins.  Each oracle here runs
+one generated artifact through two or more of those paths and reports the
+first divergence as a human-readable message (``None`` means every path
+agreed).
 
 Oracles
 -------
@@ -16,9 +17,9 @@ Oracles
     agrees with the object implementation.
 ``backends``
     every registered simulation engine (``available_backends()`` — dense,
-    tensor, sparse, streaming, numba where installed, anything registered by
-    the caller), per-op vs. ``apply_table``, and (for permutation circuits)
-    the whole-basis gather table vs. the scalar ``apply_to_basis`` path.
+    sparse, streaming, anything registered by the caller), per-op vs.
+    ``apply_table``, and (for permutation circuits) the whole-basis gather
+    table vs. the scalar ``apply_to_basis`` path.
     A second, low-occupancy instance (permutation-heavy circuit, a
     superposition of a few basis states) targets the sparse engine's O(nnz)
     fast path, which dense random states would never reach.
@@ -28,9 +29,10 @@ Oracles
     a random peephole pipeline run via ``Pass.run`` vs. ``run_table`` gives
     identical ops, identical history records, and preserves semantics.
 ``lowering``
-    ``lower_to_g_gates(engine="object")`` vs. ``engine="table"``: both
-    accept or both reject; on acceptance the outputs are gate-for-gate
-    identical G-circuits implementing the input's permutation.
+    ``lower_to_g_gates`` vs. the reference
+    ``default_lowering_pipeline().run``: both accept or both reject; on
+    acceptance the outputs are gate-for-gate identical G-circuits
+    implementing the input's permutation.
 ``estimator``
     analytic ``strategy.estimate(d, k)`` (exact strategies only) vs. the
     materialised-and-lowered ``count_gates`` metrics, wires and ancillas.
@@ -55,7 +57,7 @@ import numpy as np
 from repro.core.gate_counts import count_gates
 from repro.core.lowering import lower_to_g_gates
 from repro.exceptions import EstimationError, SynthesisError, VerificationError
-from repro.passes import PassPipeline
+from repro.passes import PassPipeline, default_lowering_pipeline
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.resources.estimator import METRIC_FIELDS
@@ -263,10 +265,10 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
     """Every *registered* simulation path agrees on a random state.
 
     The oracle iterates :func:`repro.sim.backend.available_backends`, so a
-    backend registered after import (``streaming`` with a tiny budget, the
-    ``numba`` engine where installed, a user's custom engine) is fuzzed
-    automatically — both its per-op ``apply_circuit`` walk and its fused
-    ``apply_table`` path — against the dense per-op reference.
+    backend registered after import (``streaming`` with a tiny budget, a
+    user's custom engine) is fuzzed automatically — both its per-op
+    ``apply_circuit`` walk and its fused ``apply_table`` path — against the
+    dense per-op reference.
     """
     data = _random_state(circuit.dim, circuit.num_wires, state_seed)
     plain = _plain_copy(circuit)
@@ -438,29 +440,33 @@ def check_pass_equivalence(circuit: QuditCircuit, pipeline: PassPipeline) -> Opt
 
 
 def check_lowering_engines(circuit: QuditCircuit) -> Optional[str]:
-    """Object vs table lowering: same acceptance, gate-for-gate same output."""
+    """Table lowering vs the object reference pipeline: same acceptance,
+    gate-for-gate same output."""
     outcomes = {}
-    for engine in ("object", "table"):
+    for path, lower in (
+        ("reference", default_lowering_pipeline().run),
+        ("table", lower_to_g_gates),
+    ):
         try:
-            outcomes[engine] = lower_to_g_gates(_plain_copy(circuit), engine=engine)
+            outcomes[path] = lower(_plain_copy(circuit))
         except SynthesisError as error:
-            outcomes[engine] = error
-    object_out, table_out = outcomes["object"], outcomes["table"]
-    if isinstance(object_out, SynthesisError) != isinstance(table_out, SynthesisError):
-        accepted = "table" if isinstance(object_out, SynthesisError) else "object"
-        rejected_error = object_out if isinstance(object_out, SynthesisError) else table_out
+            outcomes[path] = error
+    reference_out, table_out = outcomes["reference"], outcomes["table"]
+    if isinstance(reference_out, SynthesisError) != isinstance(table_out, SynthesisError):
+        accepted = "table" if isinstance(reference_out, SynthesisError) else "reference"
+        rejected_error = reference_out if isinstance(reference_out, SynthesisError) else table_out
         return (
-            f"only the {accepted} engine lowered the circuit; the other raised: "
+            f"only the {accepted} path lowered the circuit; the other raised: "
             f"{rejected_error}"
         )
-    if isinstance(object_out, SynthesisError):
-        return None  # both engines agree the circuit is not lowerable
-    for engine, lowered in (("object", object_out), ("table", table_out)):
+    if isinstance(reference_out, SynthesisError):
+        return None  # both paths agree the circuit is not lowerable
+    for path, lowered in (("reference", reference_out), ("table", table_out)):
         if not lowered.is_g_circuit():
-            return f"{engine} engine output is not a G-circuit"
-    difference = describe_op_difference(object_out, table_out)
+            return f"{path} lowering output is not a G-circuit"
+    difference = describe_op_difference(reference_out, table_out)
     if difference:
-        return f"object vs table lowering: {difference}"
+        return f"reference vs table lowering: {difference}"
     before = permutation_index_table(_plain_copy(circuit))
     after = permutation_index_table(table_out)
     if not np.array_equal(before, after):
@@ -690,7 +696,7 @@ def fuzz_case(
     run("passes", enriched, lambda: check_pass_equivalence(enriched, pipeline),
         recheck=lambda c: check_pass_equivalence(c, pipeline))
 
-    # -- lowerable circuit through both lowering engines --------------------
+    # -- lowerable circuit through table lowering and its reference --------
     lowerable_scenario = random_circuit_scenario(rng)
     lowerable_scenario["num_wires"] = max(2, int(lowerable_scenario["num_wires"]))
     lowerable = random_circuit(rng, lowerable=True, **lowerable_scenario)

@@ -140,7 +140,7 @@ def _compact_wires(circuit: QuditCircuit, fails: FailPredicate) -> Tuple[QuditCi
     """Relabel the used wires to 0..m−1 and drop the rest (if still failing).
 
     Tried twice: a fully compact register, then one keeping a single idle
-    wire (some oracles only fire when the lowering engines can borrow).
+    wire (some oracles only fire when lowering can borrow).
     """
     used = circuit.used_wires()
     if not used:

@@ -15,10 +15,10 @@ op's actual wires.  A circuit with hundreds of macros and ~10^5 G-gates
 therefore costs a handful of template expansions plus one numpy remap per
 macro — no per-G-gate Python object is ever created.
 
-:func:`lower_circuit_to_table` is the table engine behind
+:func:`lower_circuit_to_table` is the engine behind
 :func:`repro.core.lowering.lower_to_g_gates`; it runs the same pass order
-as the object pipeline (drop → fuse → expand → cancel → drop) and is
-gate-for-gate identical to it, which the test suite asserts.
+as the reference object pipeline (drop → fuse → expand → cancel → drop)
+and is gate-for-gate identical to it, which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _canonical_expansion(op: BaseOp, dim: int, max_sweeps: int) -> Tuple[Tuple[B
 
 
 def _lowest_idle_wire(num_wires: int, op: BaseOp) -> int:
-    """The borrow wire the object engine would pick (one shared policy)."""
+    """The borrow wire the object reference would pick (one shared policy)."""
     from repro.passes.expand_macros import lowest_idle_wire
 
     return lowest_idle_wire(num_wires, op)

@@ -9,8 +9,9 @@ recombined freely:
 >>> lowered = pipeline.run(circuit)                       # doctest: +SKIP
 >>> [(r.pass_name, r.removed) for r in pipeline.history]  # doctest: +SKIP
 
-:func:`default_lowering_pipeline` is the pipeline behind
-:func:`repro.core.lowering.lower_to_g_gates`.
+:func:`default_lowering_pipeline` is the plain object-level reference that
+the columnar :func:`repro.core.lowering.lower_to_g_gates` is checked
+against, gate for gate.
 """
 
 from repro.passes.base import Pass, PassPipeline, PassRecord
@@ -23,7 +24,7 @@ from repro.passes.optimize import (
 
 
 def default_lowering_pipeline(max_sweeps: int = 12) -> PassPipeline:
-    """The pipeline ``lower_to_g_gates`` runs.
+    """The reference pipeline ``lower_to_g_gates`` reproduces.
 
     Identity removal and single-qudit fusion happen at the macro level
     (fusing *before* expansion keeps the result a G-circuit), then the fixed

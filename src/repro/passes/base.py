@@ -4,8 +4,8 @@ A *pass* is a semantics-preserving circuit rewrite: it consumes a
 :class:`~repro.qudit.circuit.QuditCircuit` and returns a new, equivalent one
 (inputs are never mutated).  A :class:`PassPipeline` chains passes in order
 and records how each one changed the operation count, which is how the
-lowering facade (:func:`repro.core.lowering.lower_to_g_gates`) and the
-benchmarks report where gates were saved.
+reference lowering pipeline and the benchmarks report where gates were
+saved.
 """
 
 from __future__ import annotations

@@ -163,13 +163,13 @@ def _expand_star(op: StarShiftOp, dim: int) -> List[BaseOp]:
 
 
 def lowest_idle_wire(num_wires: int, op: BaseOp) -> int:
-    """The borrow-wire policy shared by both lowering engines.
+    """The borrow-wire policy shared by table lowering and its reference.
 
     Picks the lowest-index wire of an ``num_wires``-wide register not used
     by ``op`` — the paper borrows idle control wires in exactly this way.
-    The table engine (:mod:`repro.ir.lowering`) must agree with this choice
-    for the two engines to stay gate-for-gate identical, so any policy
-    change belongs here and nowhere else.
+    Table lowering (:mod:`repro.ir.lowering`) must agree with this choice
+    to stay gate-for-gate identical to the object reference pipeline, so
+    any policy change belongs here and nowhere else.
     """
     used = set(op.wires())
     for wire in range(num_wires):

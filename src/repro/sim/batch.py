@@ -7,8 +7,8 @@ batch axis trailing, exactly the layout every engine in
 circuit routes through :meth:`SimulationBackend.apply_table_batch`: on the
 dense engine the whole batch moves with **one gather per distinct gate
 form**, amortising the gather tables across the batch instead of replaying
-them per state; engines without a native batch kernel (the tensor engine)
-fall back to a per-state loop with identical results.
+them per state; the sparse engine evolves the columns one by one, and the
+streaming engine tiles the whole ``(d**n, B)`` array under its budget.
 
 For purely classical workloads (a permutation circuit applied to basis
 states) :func:`apply_to_basis_indices` propagates just the ``B`` flat

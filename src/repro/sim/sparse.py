@@ -274,20 +274,6 @@ class SparseBackend(SimulationBackend):
     def apply_circuit(self, data, circuit: QuditCircuit):
         return self.apply_table(data, self._table_of(circuit))
 
-    def apply_table_batch(self, data, table):
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_table_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_table(data, table)
-
-    def apply_circuit_batch(self, data, circuit: QuditCircuit):
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_circuit_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_table(data, self._table_of(circuit))
-
     def apply_op(self, data, op, dim, num_wires):
         """Single-op path (``Statevector.apply_op``): one-row sparse pass."""
         data = np.asarray(data, dtype=complex)

@@ -5,7 +5,7 @@ basis-state permutations: the ``|0^k⟩-U`` gate of Fig. 1(b), the unitary
 synthesis of Theorem IV.1, the d-ary Grover application, and the
 root-of-``X`` baselines.  Gate application is delegated to one of the
 vectorized engines in :mod:`repro.sim.backend` (``dense`` by default,
-``tensor`` as the axis-wise alternative) — there is no per-basis-index
+``sparse`` and ``streaming`` as alternatives) — there is no per-basis-index
 Python loop anywhere on the hot path.
 """
 
@@ -26,7 +26,7 @@ class Statevector:
     """A dense statevector over ``num_wires`` qudits of dimension ``dim``.
 
     ``backend`` selects the simulation engine by name (``"dense"``,
-    ``"tensor"``, ``"streaming"``, or any name registered through
+    ``"sparse"``, ``"streaming"``, or any name registered through
     :func:`repro.sim.backend.register_backend`), or accepts a configured
     instance directly — e.g. ``StreamingBackend("8M")`` to evolve a state
     larger than a byte budget out-of-core; ``None`` uses the process

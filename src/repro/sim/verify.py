@@ -39,7 +39,6 @@ from repro.verify import (
     TieredVerifier,
     VerificationBudget,
     VerificationReport,
-    checks,
     resolve_budget,
 )
 from repro.verify.checks import (
@@ -52,9 +51,6 @@ from repro.verify.checks import (
 
 #: Systems with at most this many basis states are verified exhaustively.
 EXHAUSTIVE_LIMIT = 200_000
-
-#: Backward-compatible alias for the batched sample-propagation kernel.
-_propagate_samples = checks.propagate_samples
 
 BudgetLike = Optional[object]  # VerificationBudget | preset name | None
 

@@ -13,16 +13,10 @@ helpers in :mod:`repro.sim.verify`, the per-strategy
 >>> report.decided_by, report.states_checked              # doctest: +SKIP
 ('index-propagation', 128)
 
-For backward compatibility ``repro.verify`` also re-exports everything from
-:mod:`repro.sim` (the module historically aliased to this name), so
-``repro.verify.Statevector`` and ``repro.verify.assert_mct_spec`` keep
-working.  The re-export is lazy to avoid a circular import —
-``repro.sim.verify`` itself routes through this package.
+The simulators and the ``assert_*`` helpers live in :mod:`repro.sim`.
 """
 
 from __future__ import annotations
-
-import importlib
 
 from repro.verify.budget import (
     PRESET_NAMES,
@@ -56,14 +50,3 @@ __all__ = [
     "resolve_budget",
     "checks",
 ]
-
-
-def __getattr__(name: str):
-    """Fall back to :mod:`repro.sim` for the historical ``repro.verify`` API."""
-    sim = importlib.import_module("repro.sim")
-    try:
-        return getattr(sim, name)
-    except AttributeError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None

@@ -12,8 +12,8 @@ from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.sim import (
     DenseBackend,
+    SparseBackend,
     Statevector,
-    TensorBackend,
     available_backends,
     circuit_unitary,
     default_backend,
@@ -27,7 +27,7 @@ from repro.sim.permutation import apply_to_basis
 from repro.utils import permutations as perm_utils
 from repro.utils.indexing import digits_to_index, iterate_basis
 
-BACKENDS = ["dense", "tensor"]
+BACKENDS = available_backends()
 
 
 def reference_table(circuit):
@@ -117,7 +117,8 @@ class TestBackendEquivalence:
             state = Statevector.uniform(circuit.num_wires, circuit.dim, backend=backend)
             state.apply_circuit(circuit)
             results[backend] = state.data
-        assert np.allclose(results["dense"], results["tensor"], atol=1e-10)
+        for backend in BACKENDS:
+            assert np.allclose(results[backend], results["dense"], atol=1e-10), backend
 
     @pytest.mark.parametrize("seed", range(4))
     def test_backends_match_permutation_table(self, seed):
@@ -147,22 +148,22 @@ class TestBackendEquivalence:
         rng = random.Random(80 + seed)
         circuit = random_mixed_circuit(rng, num_wires=2, num_ops=6)
         dense = circuit_unitary(circuit, backend="dense")
-        tensor = circuit_unitary(circuit, backend="tensor")
-        assert np.allclose(dense, tensor, atol=1e-10)
+        for backend in BACKENDS:
+            other = circuit_unitary(circuit, backend=backend)
+            assert np.allclose(dense, other, atol=1e-10), backend
         # Unitarity sanity check.
         assert np.allclose(dense @ dense.conj().T, np.eye(dense.shape[0]), atol=1e-9)
 
 
 class TestRegistry:
     def test_available_backends(self):
-        names = available_backends()
-        assert "dense" in names and "tensor" in names
+        assert available_backends() == ("dense", "sparse", "streaming")
 
     def test_get_backend_by_name_and_instance(self):
         dense = get_backend("dense")
         assert isinstance(dense, DenseBackend)
         assert get_backend(dense) is dense
-        assert isinstance(get_backend("tensor"), TensorBackend)
+        assert isinstance(get_backend("sparse"), SparseBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(GateError):
@@ -171,8 +172,8 @@ class TestRegistry:
     def test_set_default_backend_roundtrip(self):
         original = default_backend()
         try:
-            set_default_backend("tensor")
-            assert isinstance(default_backend(), TensorBackend)
+            set_default_backend("sparse")
+            assert isinstance(default_backend(), SparseBackend)
             state = Statevector(1, 3)
             assert state.backend is default_backend()
         finally:
@@ -232,7 +233,7 @@ class TestStatevectorSatellites:
         circuit = QuditCircuit(2, 3)
         circuit.add_gate(SingleQuditUnitary(np.diag([1, -1, 1])), 1, [(0, Value(0))])
         state = Statevector.uniform(2, 3, backend="dense")
-        state.apply_circuit(circuit, backend="tensor")
+        state.apply_circuit(circuit, backend="sparse")
         expected = Statevector.uniform(2, 3).apply_circuit(circuit)
         assert np.allclose(state.data, expected.data)
 

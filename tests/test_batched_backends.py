@@ -1,8 +1,8 @@
 """Batched simulation equivalence: B states at once ≡ B independent runs.
 
-The PR-5 satellite contract: ``apply_table_batch`` over B random basis /
-superposition states matches B independent ``apply_table`` calls
-bit-for-bit on both engines — including empty circuits and circuits on
+The contract: ``apply_table_batch`` over B random basis / superposition
+states matches B independent ``apply_table`` calls bit-for-bit on every
+registered engine — including empty circuits and circuits on
 non-contiguous wires — and the classical index-propagation path matches
 the whole-basis gather table.
 """
@@ -17,11 +17,17 @@ from repro.exceptions import DimensionError, GateError, WireError
 from repro.fuzz import random_circuit
 from repro.qudit.controls import Value
 from repro.qudit.operations import Operation
-from repro.sim import BatchedStatevector, Statevector, apply_to_basis_indices, get_backend
+from repro.sim import (
+    BatchedStatevector,
+    Statevector,
+    apply_to_basis_indices,
+    available_backends,
+    get_backend,
+)
 from repro.sim.verify import sample_basis_states
 from repro.utils.indexing import digits_to_index
 
-BACKENDS = ("dense", "tensor")
+BACKENDS = available_backends()
 
 
 def _random_batch(dim, num_wires, batch, seed):

@@ -2,8 +2,8 @@
 
 The contract under test is *lossless equivalence*: ``to_table().to_circuit()``
 preserves op identity gate-for-gate, every column kernel agrees with the
-object-level implementation it replaces, and the table lowering engine is
-gate-for-gate identical to the object pipeline.
+object-level implementation it replaces, and table lowering is
+gate-for-gate identical to the object reference pipeline.
 """
 
 import random
@@ -27,6 +27,7 @@ from repro.passes import (
     DropIdentities,
     FuseSingleQuditGates,
     PassPipeline,
+    default_lowering_pipeline,
 )
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Value
@@ -356,10 +357,10 @@ def test_cancel_random_cascades(seed):
 @pytest.mark.parametrize("strategy,dim,k", [("mct", 3, 12), ("pk", 5, 6)])
 def test_lowered_tables_match_object_engine(strategy, dim, k):
     """Real lowered tables (the kernel's production input) against the
-    object lowering engine, gate-for-gate."""
+    object reference pipeline, gate-for-gate."""
     circuit = registry.synthesize(strategy, dim, k).circuit
     table = lower_circuit_to_table(circuit)
-    expected = lower_to_g_gates(circuit, engine="object")
+    expected = default_lowering_pipeline().run(circuit)
     assert_ops_identical(expected, table.to_circuit())
 
 
@@ -379,13 +380,13 @@ def test_pipeline_run_table_stays_columnar():
 
 
 # ----------------------------------------------------------------------
-# Lowering engines
+# Table lowering vs the object reference pipeline
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dim,k", [(3, 3), (4, 3), (5, 2), (6, 2)])
 def test_lowering_engines_gate_for_gate_identical(dim, k):
     result = synthesize_mct(dim, k)
-    object_path = lower_to_g_gates(result.circuit, engine="object")
-    table_path = lower_to_g_gates(result.circuit, engine="table")
+    object_path = default_lowering_pipeline().run(result.circuit)
+    table_path = lower_to_g_gates(result.circuit)
     assert table_path.cached_table is not None
     assert table_path.is_g_circuit()
     assert_ops_identical(object_path, table_path)
@@ -399,7 +400,7 @@ def test_lowering_engines_gate_for_gate_identical(dim, k):
 def test_lower_circuit_to_table_counts_without_materialising():
     result = synthesize_mct(3, 4)
     table = lower_circuit_to_table(result.circuit)
-    lowered = lower_to_g_gates(result.circuit, engine="object")
+    lowered = default_lowering_pipeline().run(result.circuit)
     assert table.num_ops() == lowered.num_ops()
     assert table.g_gate_count() == lowered.g_gate_count()
     assert table.two_qudit_count() == lowered.two_qudit_count()
@@ -408,16 +409,15 @@ def test_lower_circuit_to_table_counts_without_materialising():
 
 
 def test_unknown_lowering_engine_rejected():
-    from repro.exceptions import SynthesisError
-
-    with pytest.raises(SynthesisError):
-        lower_to_g_gates(QuditCircuit(2, 3), engine="warp")
+    # Lowering has one production path: there is no engine knob to select.
+    with pytest.raises(TypeError):
+        lower_to_g_gates(QuditCircuit(2, 3), engine="table")
 
 
 # ----------------------------------------------------------------------
 # Simulation fast path
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["dense", "tensor"])
+@pytest.mark.parametrize("backend", available_backends())
 def test_apply_table_matches_per_op_application(backend):
     circuit = random_circuit(6, num_wires=4, dim=3, num_ops=30)
     engine = get_backend(backend)
@@ -547,9 +547,9 @@ def test_non_contiguous_wires_after_remap_keep_kernels_consistent():
         sparse.to_table().permutation_index_table(),
         permutation_index_table(QuditCircuit(7, 3).extend(expected.ops)),
     )
-    # Lowering a circuit on non-contiguous wires agrees across engines too.
-    object_lowered = lower_to_g_gates(expected, engine="object")
-    table_lowered = lower_to_g_gates(sparse, engine="table")
+    # Lowering a circuit on non-contiguous wires agrees with the reference too.
+    object_lowered = default_lowering_pipeline().run(expected)
+    table_lowered = lower_to_g_gates(sparse)
     assert_ops_identical(object_lowered, table_lowered)
 
 
@@ -590,7 +590,9 @@ def test_mutation_after_to_table_invalidates_through_every_entry_point():
 # ----------------------------------------------------------------------
 # CLI smoke
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("flags", [[], ["--no-table"], ["--backend", "tensor"]])
+@pytest.mark.parametrize(
+    "flags", [[], ["--backend", "sparse"], ["--backend", "streaming"]]
+)
 def test_cli_simulate_smoke(flags, capsys):
     from repro.__main__ import main
 

@@ -398,6 +398,28 @@ def test_daemon_rejects_past_queue_bound_and_bad_requests(daemon_factory):
     assert code == 0 and "drained cleanly" in stderr
 
 
+def test_daemon_rejects_bad_backend_and_memory_budget_with_400(daemon_factory):
+    daemon = daemon_factory()
+    bad = [
+        ({"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "backend": "nope"},
+         "backend"),
+        ({"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "backend": "dense",
+          "memory_budget": "8M"}, "memory_budget"),
+        ({"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3, "backend": "nope"},
+         "backend"),
+        ({"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3, "engine": "object"},
+         "engine"),
+    ]
+    for request, field in bad:
+        status, payload = daemon.client.submit({"requests": [request]})
+        assert status == 400 and field in payload["error"], (request, payload)
+    metrics = daemon.client.metrics()[1]
+    assert metrics["requests"]["rejected"]["bad_request"] == len(bad)
+    assert metrics["requests"]["accepted"] == 0
+    code, stderr = daemon.sigterm()
+    assert code == 0 and "drained cleanly" in stderr
+
+
 def test_daemon_multiprocess_pool_shares_cache_dir(tmp_path, daemon_factory):
     daemon = daemon_factory("--jobs", "2", "--cache-dir", str(tmp_path / "cache"))
     assert daemon.client.healthz()[1]["jobs"] == 2

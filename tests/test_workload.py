@@ -56,6 +56,46 @@ def test_spec_rejects_malformed_requests(raw):
         WorkloadSpec.from_dict({"requests": [raw]})
 
 
+BAD_SIM_OPTIONS = [
+    ({"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "backend": "nope"}, "backend"),
+    ({"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "backend": "dense",
+      "memory_budget": "8M"}, "memory_budget"),
+    ({"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "memory_budget": "8M"},
+     "memory_budget"),
+    ({"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3, "backend": "nope"}, "backend"),
+    ({"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3, "backend": "dense"}, "backend"),
+    ({"kind": "estimate", "strategy": "mct", "d": 3, "k": 3, "backend": "sparse"}, "backend"),
+    ({"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3, "engine": "table"}, "engine"),
+]
+
+
+@pytest.mark.parametrize("raw,field", BAD_SIM_OPTIONS)
+def test_bad_backend_and_memory_budget_are_rejected_before_compiling(raw, field):
+    from repro.exec.workload import execute_request_raw
+
+    with pytest.raises(WorkloadError, match=field):
+        WorkloadSpec.from_dict({"requests": [raw]})
+    # The worker / daemon path reports the same rejection as a failed row
+    # without compiling anything (no cache is passed, none is needed).
+    row = execute_request_raw(raw, 0, None)
+    assert row["ok"] is False and field in row["error"]
+    assert "gates" not in row
+
+
+def test_streaming_memory_budget_is_accepted_and_runs(tmp_path):
+    # A non-permutation circuit, so the statevector really goes through the
+    # budgeted streaming engine (permutation circuits propagate indices).
+    raw = {"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 2,
+           "backend": "streaming", "memory_budget": "1K"}
+    request = WorkloadRequest.from_dict(raw, 0)
+    assert request.memory_budget == 1024
+    dense = dict(raw, backend="dense")
+    del dense["memory_budget"]
+    report = run_workload(WorkloadSpec.from_dict([raw, dense]), jobs=1, cache_dir=tmp_path)
+    assert report.ok
+    assert report.rows[0]["outputs"] == report.rows[1]["outputs"] == ["001"]
+
+
 def test_planner_dedupes_shared_cache_keys():
     spec = WorkloadSpec.from_dict(SPEC)
     plan = plan_workload(spec)
@@ -183,7 +223,7 @@ def test_lower_cache_rejects_macro_stage_key(tmp_path):
 
     cache = CompileCache(tmp_path)
     _registry.synthesize("mct", 3, 4, cache=cache)  # stores the macro table
-    macro_key = cache_key("mct", 3, 4, stage="synth", engine="macro", salt=cache.salt)
+    macro_key = cache_key("mct", 3, 4, stage="synth", salt=cache.salt)
     with _pytest.raises(SynthesisError):
         lower_to_g_gates(synthesize_mct(3, 4).circuit, cache=cache, cache_key=macro_key)
 
