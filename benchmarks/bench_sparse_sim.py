@@ -20,6 +20,12 @@ amplitudes:
   batched ``GateTable.apply_to_indices`` call over all sampled basis
   states vs the pre-PR-8 per-state scalar ``apply_to_basis`` walk.
   Floor: 10x.
+* **index_propagation_speedup** / **index_first_call_speedup** — index
+  propagation of B=64 indices through a lowered mct (d=3, k=6 quick; k=12
+  full): ``GateTable.apply_to_indices`` (the cached window plan) vs the
+  per-row ``BaseOp.map_indices`` reference walk.  Timed warm (plan cached,
+  floor 20x) and cold on a fresh ``select()`` twin, where the plan is built
+  inside the timed call and the reference walk decodes its ops (floor 1.5x).
 
 The sparse and dense results are additionally checked **bit-for-bit**:
 on a permutation circuit both paths move amplitudes without arithmetic,
@@ -53,6 +59,7 @@ from _harness import emit_json, emit_table, peak_rss_bytes
 
 from repro import lower_to_g_gates, synthesize_mct
 from repro.bench import render_table
+from repro.ir.index_plan import reference_apply_to_indices
 from repro.qudit.circuit import QuditCircuit
 from repro.sim import SparseState, get_backend
 from repro.sim.permutation import apply_to_basis
@@ -62,6 +69,8 @@ from repro.utils.indexing import indices_to_digits
 SPARSE_WALL_FLOOR = 10.0
 RSS_RATIO_FLOOR = 10.0
 VERIFY_FLOOR = 10.0
+INDEX_WARM_FLOOR = 20.0
+INDEX_COLD_FLOOR = 1.5
 
 # The sparse engine's measured growth is allocator noise (a few KB of live
 # indices); clamping the denominator keeps the RSS ratio conservative.
@@ -118,7 +127,7 @@ def measure_wall(case: dict) -> dict:
     dense_out, dense_warm = timed(lambda: dense.apply_table(data.copy(), table))
 
     state = SparseState(case["num_wires"], case["dim"], indices, amplitudes)
-    sparse.apply_table_sparse(state, table)  # warm the unique-op row cache
+    sparse.apply_table_sparse(state, table)  # warm the segment window plans
     evolved, sparse_seconds = timed(lambda: sparse.apply_table_sparse(state, table))
 
     # Bit-for-bit: a permutation circuit moves amplitudes without touching
@@ -175,13 +184,13 @@ def vm_hwm_bytes() -> int:
 def run_worker(engine_name: str, case: dict) -> int:
     """Evolve the case state; print the engine's peak RSS growth (bytes).
 
-    The table, the composed segment gathers (dense side), and the unique-op
-    row cache are all warmed *before* the baseline watermark, so the
-    reported growth is the engine's own working set: the full statevector
-    plus output array for dense, the O(nnz) index/amplitude pairs for
-    sparse.  The dense input state is allocated inside the measured region
-    on purpose — never materialising it is exactly the sparse engine's
-    claim.
+    The table, the composed segment gathers (dense side), and the segment
+    window plans (sparse side) are all built *before* the baseline
+    watermark, so the reported growth is the engine's own working set: the
+    full statevector plus output array for dense, the O(nnz) index/amplitude
+    pairs for sparse.  The dense input state is allocated inside the
+    measured region on purpose — never materialising it is exactly the
+    sparse engine's claim.
     """
     from repro.ir.segment import segment_table
 
@@ -201,7 +210,9 @@ def run_worker(engine_name: str, case: dict) -> int:
         checksum = complex(result[live].sum())
     else:
         engine = get_backend("sparse")
-        table.unique_ops()  # warm the row cache before baseline
+        for segment in segment_table(table):  # build the window plans before baseline
+            if segment.kind == "perm":
+                table.index_plan(segment.start, segment.stop)
         reset_peak_rss()
         rss0 = vm_hwm_bytes()
         state = SparseState(case["num_wires"], case["dim"], indices, amplitudes)
@@ -270,7 +281,7 @@ def measure_verify(case: dict) -> dict:
         [case["dim"] ** e for e in range(case["num_wires"] - 1, -1, -1)], dtype=np.int64
     )
     indices = np.asarray(states, dtype=np.int64) @ strides
-    table.apply_to_indices(indices[:1])  # warm the unique-op row cache
+    table.apply_to_indices(indices[:1])  # warm the window plan
 
     scalar_rows, scalar_seconds = timed(
         lambda: [apply_to_basis(circuit, state) for state in states]
@@ -289,6 +300,48 @@ def measure_verify(case: dict) -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# Index propagation: window plan vs the per-row reference walk
+# ----------------------------------------------------------------------
+def index_case(quick: bool) -> dict:
+    return {"dim": 3, "num_controls": 6 if quick else 12, "batch": 64, "repeats": 5, "seed": 5}
+
+
+def measure_index(case: dict) -> dict:
+    table = lower_to_g_gates(synthesize_mct(case["dim"], case["num_controls"]).circuit).to_table()
+    rng = np.random.default_rng(case["seed"])
+    indices = rng.integers(0, case["dim"] ** table.num_wires, size=case["batch"])
+
+    def best(fn):
+        return min(timed(fn)[1] for _ in range(case["repeats"]))
+
+    # Cold: every repeat on a fresh select() twin, so the plan (new kernel)
+    # or the decoded op list (reference walk) is built inside the timed call.
+    cold_seconds = best(lambda: table.select(slice(None)).apply_to_indices(indices))
+    reference_cold = best(
+        lambda: reference_apply_to_indices(table.select(slice(None)), indices)
+    )
+    expected = reference_apply_to_indices(table, indices)
+    images = table.apply_to_indices(indices)
+    if not np.array_equal(images, expected):
+        raise SystemExit("FAIL: window-plan index propagation differs from the reference walk")
+    warm_seconds = best(lambda: table.apply_to_indices(indices))
+    reference_warm = best(lambda: reference_apply_to_indices(table, indices))
+    plan = table.index_plan()
+    return {
+        **case,
+        "rows": len(table),
+        "windows": len(plan.windows),
+        "composed_windows": plan.composed,
+        "reference_warm_seconds": reference_warm,
+        "warm_seconds": warm_seconds,
+        "reference_cold_seconds": reference_cold,
+        "cold_seconds": cold_seconds,
+        "index_propagation_speedup": reference_warm / warm_seconds,
+        "index_first_call_speedup": reference_cold / cold_seconds,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small case for CI smoke runs")
@@ -301,6 +354,7 @@ def main() -> int:
     wall = measure_wall(sparse_case(args.quick))
     memory = measure_memory(sparse_case(args.quick))
     verify = measure_verify(verify_case(args.quick))
+    index = measure_index(index_case(args.quick))
 
     rows = [
         {
@@ -327,11 +381,26 @@ def main() -> int:
             "measurement": "batched apply_to_indices",
             "seconds": round(verify["batched_seconds"], 6),
         },
+        {
+            "measurement": (
+                f"index propagation vs per-row reference walk "
+                f"(B={index['batch']}, {index['rows']:,} rows, warm)"
+            ),
+            "seconds": round(index["warm_seconds"], 6),
+            "reference_seconds": round(index["reference_warm_seconds"], 6),
+        },
+        {
+            "measurement": "index propagation vs per-row reference walk (cold twin)",
+            "seconds": round(index["cold_seconds"], 6),
+            "reference_seconds": round(index["reference_cold_seconds"], 6),
+        },
     ]
     title = (
         f"Sparse simulation: wall {wall['sparse_wall_speedup']:.0f}x, "
         f"dense/sparse RSS {memory['dense_over_sparse_rss']:.0f}x, "
-        f"verify batch {verify['verify_sampled_speedup']:.1f}x"
+        f"verify batch {verify['verify_sampled_speedup']:.1f}x, "
+        f"index propagation {index['index_propagation_speedup']:.0f}x warm / "
+        f"{index['index_first_call_speedup']:.1f}x cold"
     )
     stem = "sparse_sim_quick" if args.quick else "sparse_sim"
     emit_table(stem, render_table(rows, title=title))
@@ -341,13 +410,18 @@ def main() -> int:
             "wall": wall,
             "memory": memory,
             "verify": verify,
+            "index": index,
             "sparse_wall_speedup": wall["sparse_wall_speedup"],
             "dense_over_sparse_rss": memory["dense_over_sparse_rss"],
             "verify_sampled_speedup": verify["verify_sampled_speedup"],
+            "index_propagation_speedup": index["index_propagation_speedup"],
+            "index_first_call_speedup": index["index_first_call_speedup"],
             "floors": {
                 "sparse_wall_speedup": SPARSE_WALL_FLOOR,
                 "dense_over_sparse_rss": RSS_RATIO_FLOOR,
                 "verify_sampled_speedup": VERIFY_FLOOR,
+                "index_propagation_speedup": INDEX_WARM_FLOOR,
+                "index_first_call_speedup": INDEX_COLD_FLOOR,
             },
         },
     )
@@ -365,6 +439,12 @@ def main() -> int:
         failures.append(
             f"verify sampled speedup {verify['verify_sampled_speedup']:.1f}x < {VERIFY_FLOOR}x"
         )
+    for metric, floor in (
+        ("index_propagation_speedup", INDEX_WARM_FLOOR),
+        ("index_first_call_speedup", INDEX_COLD_FLOOR),
+    ):
+        if index[metric] < floor:
+            failures.append(f"{metric} {index[metric]:.1f}x < {floor}x")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

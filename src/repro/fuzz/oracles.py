@@ -19,7 +19,9 @@ Oracles
     every registered simulation engine (``available_backends()`` — dense,
     sparse, streaming, anything registered by the caller), per-op vs.
     ``apply_table``, and (for permutation circuits) the whole-basis gather
-    table vs. the scalar ``apply_to_basis`` path.
+    table vs. the scalar ``apply_to_basis`` path, and the window-plan index
+    kernel ``GateTable.apply_to_indices`` vs. the per-row ``map_indices``
+    reference walk.
     A second, low-occupancy instance (permutation-heavy circuit, a
     superposition of a few basis states) targets the sparse engine's O(nnz)
     fast path, which dense random states would never reach.
@@ -57,6 +59,8 @@ import numpy as np
 from repro.core.gate_counts import count_gates
 from repro.core.lowering import lower_to_g_gates
 from repro.exceptions import EstimationError, SynthesisError, VerificationError
+from repro.ir.index_plan import reference_apply_to_indices
+from repro.ir.table import DEFAULT_INDEX_CHUNK
 from repro.passes import PassPipeline, default_lowering_pipeline
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.operations import Operation, StarShiftOp
@@ -308,6 +312,9 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
             f"permutation gather tables differ at flat index {first}: "
             f"object {int(object_table[first])} vs table {int(columnar_table[first])}"
         )
+    message = check_index_kernel(circuit, state_seed)
+    if message is not None:
+        return message
     images = indices_to_digits(object_table, circuit.dim, circuit.num_wires)
     for state in sample_basis_states(circuit.dim, circuit.num_wires, 4, state_seed):
         flat = 0
@@ -319,6 +326,31 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
             return (
                 f"apply_to_basis maps {state} to {scalar} but the gather table "
                 f"gives {gathered}"
+            )
+    return None
+
+
+def check_index_kernel(circuit: QuditCircuit, seed: int) -> Optional[str]:
+    """The window-plan index kernel equals the per-row reference walk.
+
+    Every basis index goes through ``GateTable.apply_to_indices`` at the
+    default chunk size, and a seeded sample of them one index per chunk
+    (``chunk_size=1``); both must equal the plain
+    :meth:`~repro.qudit.operations.BaseOp.map_indices` walk bit-for-bit.
+    """
+    table = circuit.to_table()
+    indices = np.arange(circuit.dim**circuit.num_wires, dtype=np.int64)
+    expected = reference_apply_to_indices(table, indices)
+    sample = np.random.default_rng(seed).choice(indices, size=min(32, indices.size))
+    for batch, chunk_size in ((indices, DEFAULT_INDEX_CHUNK), (sample, 1)):
+        images = table.apply_to_indices(batch, chunk_size=chunk_size)
+        wrong = np.nonzero(images != expected[batch])[0]
+        if wrong.size:
+            first = int(batch[wrong[0]])
+            return (
+                f"apply_to_indices (chunk_size={chunk_size}) maps flat index {first} "
+                f"to {int(images[wrong[0]])}, the per-row reference walk to "
+                f"{int(expected[first])}"
             )
     return None
 
@@ -370,6 +402,9 @@ def check_backends_sparse(
                 f"at flat index {first}: {evolved[first]} vs {reference[first]} "
                 "(must be bit-for-bit)"
             )
+        message = check_index_kernel(circuit, int(indices[0]))
+        if message is not None:
+            return message
     elif not np.allclose(evolved, reference, atol=1e-9):
         deviation = float(np.max(np.abs(evolved - reference)))
         return f"sparse apply_table deviates from dense by {deviation:.3e}"
@@ -793,6 +828,7 @@ __all__ = [
     "Divergence",
     "FuzzReport",
     "check_backends",
+    "check_index_kernel",
     "check_cache_serialization",
     "check_estimator",
     "check_inverse_identity",

@@ -25,6 +25,12 @@ controls, order).  The counting, depth, histogram, inverse and remap
 queries all run as column kernels — no per-op Python objects are touched —
 which is what :class:`~repro.qudit.circuit.QuditCircuit` delegates to when
 a cached table is live.
+
+Basis-index propagation (:meth:`GateTable.apply_to_indices`, and the sparse
+engine's permutation segments through :meth:`GateTable.index_plan`) runs
+from the columns too: the rows are cut into windows of at most
+:data:`LOCAL_STATES_MAX` local states, each composed once into a delta
+lookup and cached on the table (:mod:`repro.ir.index_plan`).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import numpy as np
 from repro.exceptions import GateError, WireError
 from repro.ir.pools import PoolSet
 from repro.qudit.operations import BaseOp, Operation, StarShiftOp
+from repro.utils.indexing import require_int64_basis
 
 #: Row opcodes.
 OP_PERM = 0
@@ -44,9 +51,19 @@ OP_UNITARY = 1
 OP_STAR = 2
 
 #: Index batches larger than this propagate through ``apply_to_indices`` in
-#: slices, bounding the transient arrays each row's stride arithmetic
+#: slices, bounding the transient arrays each plan step's stride arithmetic
 #: allocates to a few chunk-sized int64 buffers regardless of batch size.
 DEFAULT_INDEX_CHUNK = 1 << 18
+
+#: Index propagation cuts the rows into windows whose wires together have at
+#: most this many local states (``d^|wires|``), and applies each window as
+#: one composed ``int64`` delta lookup (:mod:`repro.ir.index_plan`).
+LOCAL_STATES_MAX = 256
+
+#: Windows covering fewer rows than this run as direct per-row steps: a
+#: lone row decodes as many digits as a one-row lookup would, so composing
+#: it cannot pay.
+WINDOW_MIN_ROWS = 2
 
 #: Column names in storage order (one numpy array each).
 COLUMNS = ("opcode", "target", "wire_a", "wire_b", "pred_a", "pred_b", "payload", "extra")
@@ -510,18 +527,41 @@ class GateTable:
             self._cache["perm_index_table"] = cached
         return cached
 
+    def index_plan(self, start: int = 0, stop: Optional[int] = None):
+        """The window plan of rows ``[start, stop)`` (cached per row range).
+
+        See :mod:`repro.ir.index_plan`: the rows are cut into runs whose
+        wires have at most :data:`LOCAL_STATES_MAX` local states, each run
+        composed once into a delta lookup.  Built from the columns on first
+        use; ``select``/``inverse`` twins are new tables and build their own.
+        """
+        stop = len(self) if stop is None else int(stop)
+        key = f"index_plan:{int(start)}:{stop}"
+        plan = self._cache.get(key)
+        if plan is None:
+            from repro.ir.index_plan import build_index_plan
+
+            plan = build_index_plan(self, int(start), stop)
+            self._cache[key] = plan
+        return plan
+
     def apply_to_indices(self, indices, *, out=None, chunk_size: int = DEFAULT_INDEX_CHUNK) -> np.ndarray:
         """Images of a *batch* of flat basis indices under the whole table.
 
         The batched twin of :meth:`permutation_index_table`, and the core of
-        the classical simulation path: each row is applied as direct stride
-        arithmetic on the ``B`` requested indices
-        (:meth:`repro.qudit.operations.BaseOp.map_indices`) — O(rows · B)
-        time, O(min(B, chunk_size)) transient memory, and never a ``d^n``
-        table, so it works on registers far beyond any statevector
-        (``d^n >= 10^9``).  ``out=`` reuses a caller-provided ``int64``
-        buffer of the same shape; batches larger than ``chunk_size`` are
-        propagated in slices to bound the transient arrays.
+        the classical simulation path.  The rows run as the table's cached
+        window plan (:meth:`index_plan`): each few-wire run of rows is one
+        ``d^m``-entry delta lookup applied with a few stride operations,
+        and rows too wide (or windows too short) for a lookup are direct
+        per-row stride steps — O(rows) to plan once, then O(windows · B)
+        per call, O(min(B, chunk_size)) transient memory, and never a
+        ``d^n`` table, so it works on registers far beyond any statevector
+        (``d^n >= 10^9``).  Images are exact integers, bit-for-bit those of
+        the per-row :meth:`~repro.qudit.operations.BaseOp.map_indices` walk.
+        Registers whose largest flat index ``d^n - 1`` exceeds ``int64`` are
+        refused with a :class:`~repro.exceptions.WireError`.  ``out=`` reuses
+        a caller-provided ``int64`` buffer of the same shape; batches larger
+        than ``chunk_size`` are propagated in slices.
         """
         if not self.is_permutation:
             row = int(np.nonzero(self.opcode == OP_UNITARY)[0][0])
@@ -531,8 +571,10 @@ class GateTable:
                 f"{label!r}; basis indices only propagate through permutation "
                 "rows — use the statevector simulator for this circuit"
             )
+        size = require_int64_basis(
+            self.dim, self.num_wires, f"index propagation through {self.name!r}"
+        )
         acc = np.asarray(indices, dtype=np.int64)
-        size = self.dim**self.num_wires
         if acc.size and (acc.min() < 0 or acc.max() >= size):
             raise WireError(
                 f"basis index out of range for {self.num_wires} wires of dimension {self.dim}"
@@ -548,16 +590,14 @@ class GateTable:
                 )
             if not out.flags.c_contiguous:
                 raise GateError("out buffer must be C-contiguous")
+        plan = self.index_plan()
         chunk = max(1, int(chunk_size))
-        ops, inverse = self.unique_ops()
-        row_ops = [ops[u] for u in inverse.tolist()]
         flat_in = acc.reshape(-1)
         flat_out = out.reshape(-1)
         for lo in range(0, flat_in.size, chunk):
-            seg = flat_in[lo : lo + chunk]
-            for op in row_ops:
-                seg = op.map_indices(seg, self.dim, self.num_wires)
-            flat_out[lo : lo + chunk] = seg
+            seg = flat_out[lo : lo + chunk]
+            seg[...] = flat_in[lo : lo + chunk]
+            plan.apply(seg)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,9 +25,11 @@ hooks consumed by the simulation backends in :mod:`repro.sim.backend`:
 * :meth:`BaseOp.map_indices` / :meth:`BaseOp.controls_fire_flat` — the same
   action and predicate evaluated on an *arbitrary batch* of flat basis
   indices with O(batch) stride arithmetic, never materialising a ``d^n``
-  table.  The sparse simulator and the classical index path
-  (:meth:`repro.ir.table.GateTable.apply_to_indices`) build on this hook;
-  it is the only one that works on registers too large for a statevector.
+  table.  The per-row walk over ``map_indices`` is the plain reference
+  (:func:`repro.ir.index_plan.reference_apply_to_indices`) that the
+  production index kernel, the window plans behind
+  :meth:`repro.ir.table.GateTable.apply_to_indices` and the sparse engine,
+  is checked against.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ circuits, and their hot inputs (basis states, truth-table probes, oracle
 queries) touch a handful of amplitudes — yet every statevector engine pays
 O(d^n) time and memory per application.  The ``sparse`` engine stores a
 state as the pair (sorted-unique ``int64`` flat indices, complex
-amplitudes) and evolves it with the O(batch) index arithmetic of
-:meth:`repro.qudit.operations.BaseOp.map_indices`:
+amplitudes) and evolves it with the O(batch) index kernel of
+:meth:`repro.ir.table.GateTable.apply_to_indices`:
 
-* each maximal permutation segment (PR 6's
-  :func:`repro.ir.segment.segment_table` machinery) becomes ONE pass of
-  per-row stride arithmetic over the *live indices only* — never a composed
-  ``d^n`` gather table — so a basis-state input costs O(rows · nnz)
+* each maximal permutation segment
+  (:func:`repro.ir.segment.segment_table`) runs its cached window plan
+  (:meth:`repro.ir.table.GateTable.index_plan` over the segment's rows) on
+  the *live indices only* — never a composed ``d^n`` gather table — so a
+  basis-state input costs O(windows · nnz) once the plan is built,
   regardless of register size (``d^n >= 10^9`` works);
 * a controlled-unitary row expands only the matched indices (predicate
   evaluated on decoded digits) into ``<= d`` successors each, then merges
@@ -40,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import GateError, WireError
+from repro.ir.table import GateTable
 from repro.qudit.circuit import QuditCircuit
 from repro.sim.backend import SimulationBackend, get_backend, register_backend
 from repro.utils.indexing import digits_to_index, indices_to_digits
@@ -291,7 +293,8 @@ class SparseBackend(SimulationBackend):
             return get_backend(self.densify_to).apply_op(data, op, dim, num_wires)
         state = SparseState.from_dense(data, dim, num_wires, eps=self.eps)
         if op.is_permutation:
-            state = self._map_permutation_rows(state, [op])
+            table = GateTable.from_ops([op], num_wires, dim, name="op")
+            state = self._map_permutation_rows(state, table.index_plan())
             self._stats["perm_segments"] += 1
         else:
             state = self._expand_unitary_row(state, op)
@@ -318,14 +321,13 @@ class SparseBackend(SimulationBackend):
         self._stats["sparse_applies"] += 1
         dim, num_wires = table.dim, table.num_wires
         size = dim**num_wires
-        ops, row_map = table.unique_ops()
         threshold = self.max_occupancy * size
         data = state
         for segment in segment_table(table):
             if isinstance(data, SparseState):
                 if segment.kind == "perm":
-                    rows = [ops[u] for u in row_map[segment.start : segment.stop].tolist()]
-                    data = self._map_permutation_rows(data, rows)
+                    plan = table.index_plan(segment.start, segment.stop)
+                    data = self._map_permutation_rows(data, plan)
                     self._stats["perm_segments"] += 1
                 else:
                     data = self._expand_unitary_row(data, segment.op())
@@ -342,17 +344,16 @@ class SparseBackend(SimulationBackend):
                     data = engine._apply_unitary(data, segment.op(), dim, num_wires)
         return data
 
-    def _map_permutation_rows(self, state: SparseState, rows) -> SparseState:
-        """One permutation segment: stride arithmetic on the live indices only.
+    def _map_permutation_rows(self, state: SparseState, plan) -> SparseState:
+        """One permutation segment: its window plan on the live indices only.
 
         Amplitudes are carried, never recomputed — the permutation path is
         bit-for-bit identical to the dense engine.  One sort at segment end
         restores the sorted-unique invariant (a permutation cannot create
         duplicates).
         """
-        indices = state.indices
-        for op in rows:
-            indices = op.map_indices(indices, state.dim, state.num_wires)
+        indices = state.indices.copy()
+        plan.apply(indices)
         order = np.argsort(indices, kind="stable")
         return SparseState(
             state.num_wires,

@@ -9,11 +9,34 @@ that the flat index of ``|x_0 ... x_{n-1}⟩`` is the base-``d`` number
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.exceptions import DimensionError, WireError
+from repro.exceptions import DimensionError, ReproError, WireError
+
+#: Largest flat basis index representable by the batched int64 index paths.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def require_int64_basis(
+    dim: int, num_wires: int, context: str, error: Type[ReproError] = WireError
+) -> int:
+    """Return ``d^n``, or raise ``error`` when flat indices overflow ``int64``.
+
+    The batched index paths encode basis states as flat ``int64`` indices;
+    once the largest one, ``d^n - 1``, passes ``2^63 - 1`` the stride
+    arithmetic cannot represent the register, so refuse it up front with an
+    error that names the range.
+    """
+    size = int(dim) ** int(num_wires)
+    if size - 1 > INT64_MAX:
+        raise error(
+            f"{context}: basis of {dim}^{num_wires} states exceeds the int64 "
+            f"flat-index range (largest index 2^63 - 1); this register is too "
+            f"large for the batched index paths"
+        )
+    return size
 
 
 def digits_to_index(digits: Sequence[int], dim: int) -> int:

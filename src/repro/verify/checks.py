@@ -20,13 +20,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import VerificationError
+from repro.utils import indexing
+from repro.utils.indexing import INT64_MAX  # noqa: F401 - re-exported for callers
 from repro.utils.indexing import digit_matrix, indices_to_digits
 
 BasisState = Tuple[int, ...]
 Spec = Callable[[BasisState], Sequence[int]]
-
-#: Largest flat basis index representable by the batched int64 index paths.
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def basis_size(dim: int, num_wires: int) -> int:
@@ -37,18 +36,12 @@ def basis_size(dim: int, num_wires: int) -> int:
 def require_int64_basis(dim: int, num_wires: int, context: str) -> int:
     """Return ``d^n`` or raise when flat indices would overflow ``int64``.
 
-    The batched index paths (:func:`propagate_samples`, the sampled-column
-    kernel) encode basis states as flat ``int64`` indices; past ``2^63 - 1``
-    the stride arithmetic silently wraps, so refuse with a clear error.
+    The verifier's face of :func:`repro.utils.indexing.require_int64_basis`
+    (shared with :meth:`~repro.ir.table.GateTable.apply_to_indices`): the
+    batched index paths (:func:`propagate_samples`, the sampled-column
+    kernel) refuse such registers with a :class:`VerificationError`.
     """
-    size = basis_size(dim, num_wires)
-    if size > INT64_MAX:
-        raise VerificationError(
-            f"{context}: basis of {dim}^{num_wires} states exceeds the int64 "
-            f"flat-index range (2^63 - 1); this register is too large for the "
-            f"batched index paths"
-        )
-    return size
+    return indexing.require_int64_basis(dim, num_wires, context, VerificationError)
 
 
 def sample_basis_states(
@@ -81,8 +74,8 @@ def propagate_samples(circuit, states: Sequence[BasisState]) -> List[List[int]]:
     """Images of sampled basis states, all propagated in ONE batched pass.
 
     Encodes the digit rows to flat indices, pushes them through
-    :meth:`repro.ir.table.GateTable.apply_to_indices` (per-row stride
-    arithmetic on just the batch — no ``d^n`` table), and decodes back.
+    :meth:`repro.ir.table.GateTable.apply_to_indices` (the table's window
+    plan on just the batch — no ``d^n`` table), and decodes back.
     Row order is preserved, so callers can recover the failing sample index.
     """
     if not states:

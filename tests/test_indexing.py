@@ -44,3 +44,12 @@ class TestConversions:
         assert states[0] == (0, 0)
         assert states[-1] == (2, 2)
         assert len(set(states)) == 9
+
+
+def test_int64_basis_boundary_is_the_largest_flat_index():
+    from repro.utils.indexing import require_int64_basis
+
+    # 2^63 states: the largest flat index 2^63 - 1 still fits an int64.
+    assert require_int64_basis(2, 63, "t") == 2**63
+    with pytest.raises(WireError, match="int64 flat-index range"):
+        require_int64_basis(2, 64, "t")

@@ -25,6 +25,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GateError, VerificationError, WireError
+from repro.ir.index_plan import reference_apply_to_indices
+from repro.ir.table import DEFAULT_INDEX_CHUNK, LOCAL_STATES_MAX
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Odd, Value
 from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
@@ -374,6 +376,145 @@ class TestApplyToIndices:
             table.apply_to_indices(indices, out=np.empty(4, dtype=np.int64))
         with pytest.raises(GateError):
             table.apply_to_indices(indices, out=np.empty(5, dtype=np.float64))
+
+    def test_register_past_int64_is_refused_before_the_batch(self):
+        # 3^41 basis states: the largest flat index does not fit int64, so
+        # stride arithmetic would raise a raw OverflowError mid-propagation.
+        circuit = QuditCircuit(41, 3, name="wide")
+        circuit.add_gate(XPlus(3, 1), 40, [(0, Value(0))])
+        with pytest.raises(WireError, match="int64 flat-index range"):
+            circuit.to_table().apply_to_indices([0])
+
+
+# ----------------------------------------------------------------------
+# GateTable.apply_to_indices: the window plan against the reference walk
+# ----------------------------------------------------------------------
+def chain_circuit(dim, wire_rows, num_wires):
+    """One ``|0⟩``-controlled ``X+1`` row per (control, target) pair."""
+    circuit = QuditCircuit(num_wires, dim, name="chain")
+    for control, target in wire_rows:
+        circuit.add_gate(XPlus(dim, 1), target, [(control, Value(0))])
+    return circuit
+
+
+def every_index(table):
+    return np.arange(table.dim**table.num_wires, dtype=np.int64)
+
+
+class TestIndexPlan:
+    @pytest.mark.parametrize("dim, cap_wires", [(3, 5), (4, 4), (2, 8)])
+    def test_windows_cut_exactly_at_the_cap(self, dim, cap_wires):
+        # Rows (w, w+1) for w = 0.. grow one window until its wires reach
+        # d^|wires| <= LOCAL_STATES_MAX exactly; the next wire starts anew.
+        assert dim**cap_wires <= LOCAL_STATES_MAX < dim ** (cap_wires + 1)
+        num_wires = cap_wires + 3
+        rows = [(w, w + 1) for w in range(num_wires - 1)]
+        table = chain_circuit(dim, rows, num_wires).to_table()
+        plan = table.index_plan()
+        first = cap_wires - 1  # rows covering wires 0..cap_wires-1
+        assert plan.windows[0] == (0, first, tuple(range(cap_wires)))
+        assert plan.windows[1][0] == first
+        assert np.array_equal(
+            table.apply_to_indices(every_index(table)),
+            reference_apply_to_indices(table, every_index(table)),
+        )
+
+    def test_star_rows_and_overflow_controls_inside_a_window(self):
+        circuit = QuditCircuit(5, 3, name="window")
+        circuit.append(StarShiftOp(0, 1, +1, [(2, Value(0))]))
+        circuit.add_gate(XPerm((2, 0, 1)), 3, [(0, Value(1)), (1, Odd()), (2, Value(0))])
+        circuit.append(StarShiftOp(4, 2, -1, [(3, Value(2)), (0, Odd())]))
+        circuit.add_gate(XPlus(3, 2), 4, [(1, Value(1))])
+        circuit.append(StarShiftOp(3, 0, -1))
+        table = circuit.to_table()
+        assert (table.extra >= 0).sum() == 2  # overflow control lists in play
+        plan = table.index_plan()
+        assert plan.windows == ((0, 5, (0, 1, 2, 3, 4)),)
+        assert plan.composed == 1
+        assert np.array_equal(
+            table.apply_to_indices(every_index(table)),
+            reference_apply_to_indices(table, every_index(table)),
+        )
+
+    def test_row_wider_than_the_cap_runs_as_a_direct_step(self):
+        # d = 7: a window holds at most 2 wires (49 local states); the macro
+        # mct rows carry up to 4 wires, which no window can hold.
+        table = synthesize("mct", 7, 4).circuit.to_table()
+        assert table.max_span() > 2
+        plan = table.index_plan()
+        covered = sum(stop - start for start, stop, _ in plan.windows)
+        assert covered == int((table.spans() <= 2).sum()) < len(table)
+        indices = np.random.default_rng(3).integers(0, 7**table.num_wires, size=4000)
+        assert np.array_equal(
+            table.apply_to_indices(indices), reference_apply_to_indices(table, indices)
+        )
+
+    def test_wide_rows_with_adjacent_and_overflow_controls(self):
+        # Direct row steps read runs of adjacent control wires as one digit
+        # block; every control of these 4-5 wire rows must still count.
+        circuit = QuditCircuit(6, 7, name="wide")
+        circuit.add_gate(XPlus(7, 3), 5, [(0, Value(0)), (1, Odd()), (2, Value(4))])
+        circuit.append(StarShiftOp(4, 0, -1, [(1, Value(2)), (2, Odd()), (3, Value(0))]))
+        circuit.add_gate(XPerm((6, 0, 1, 2, 3, 4, 5)), 2, [(5, Odd()), (0, Value(1)), (3, Odd())])
+        table = circuit.to_table()
+        plan = table.index_plan()
+        assert plan.windows == () and len(plan.steps) == 3
+        indices = every_index(table)
+        assert np.array_equal(
+            table.apply_to_indices(indices), reference_apply_to_indices(table, indices)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunk_sizes_agree(self, seed):
+        table = mixed_circuit(seed, num_wires=6, num_ops=40, unitary=False).to_table()
+        indices = np.random.default_rng(seed).integers(0, 3**6, size=301)
+        expected = reference_apply_to_indices(table, indices)
+        for chunk_size in (1, 5, DEFAULT_INDEX_CHUNK):
+            assert np.array_equal(table.apply_to_indices(indices, chunk_size=chunk_size), expected)
+
+    def test_plan_is_cached_and_twins_build_their_own(self, monkeypatch):
+        from repro.ir import index_plan
+
+        table = synthesize("mct", 3, 4).circuit.to_table()
+        builds = []
+        real = index_plan.build_index_plan
+        monkeypatch.setattr(
+            index_plan, "build_index_plan", lambda *a: builds.append(a[0]) or real(*a)
+        )
+        indices = np.arange(50, dtype=np.int64)
+        first = table.apply_to_indices(indices)
+        assert np.array_equal(table.apply_to_indices(indices), first)
+        assert builds == [table]
+        twin = table.select(slice(None))
+        assert np.array_equal(twin.apply_to_indices(indices), first)
+        inverse = table.inverse()
+        assert np.array_equal(inverse.apply_to_indices(first), indices)
+        assert builds == [table, twin, inverse]
+
+    def test_large_batch_on_a_lowered_table(self):
+        # 200k random indices through the 25k-row lowered mct d=3 k=12.  The
+        # per-row reference walk costs O(rows · B), so it checks a fixed
+        # 1-in-1000 slice of the batch; that slice run on its own through
+        # the plan must match too (batch size never changes an image).
+        from repro import lower_to_g_gates
+
+        lowered = lower_to_g_gates(synthesize("mct", 3, 12).circuit).to_table()
+        indices = np.random.default_rng(12).integers(0, 3**lowered.num_wires, size=200_000)
+        images = lowered.apply_to_indices(indices)
+        probe = indices[::1000]
+        expected = reference_apply_to_indices(lowered, probe)
+        assert np.array_equal(images[::1000], expected)
+        assert np.array_equal(lowered.apply_to_indices(probe, chunk_size=7), expected)
+
+    def test_sparse_engine_runs_the_segment_plans(self):
+        circuit = mixed_circuit(5, num_wires=4, num_ops=30, unitary=True)
+        table = circuit.to_table()
+        indices, amplitudes = sparse_input(3, 4, 5, seed=2)
+        state = SparseState(4, 3, indices, amplitudes)
+        SparseBackend().apply_table_sparse(state, table)
+        planned = [key for key in table._cache if key.startswith("index_plan:")]
+        segments = [s for s in table._cache["segments"] if s.kind == "perm"]
+        assert sorted(planned) == sorted(f"index_plan:{s.start}:{s.stop}" for s in segments)
 
 
 # ----------------------------------------------------------------------

@@ -402,3 +402,16 @@ def test_cli_simulate_valid_state_still_works(capsys):
     assert main(["simulate", "mct", "3", "3", "--state", "0 0 0 1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["input"] == "0001" and payload["output"] == "0000"
+
+
+def test_simulate_past_the_int64_basis_is_a_clean_row_error(tmp_path):
+    # pk d=3 k=40 has 41 wires: 3^41 - 1 overflows an int64 flat index.
+    spec = WorkloadSpec.from_dict(
+        {"requests": [{"kind": "simulate", "strategy": "pk", "d": 3, "k": 40}]}
+    )
+    report = run_workload(spec, jobs=1, cache_dir=tmp_path)
+    row = report.rows[0]
+    assert row["ok"] is False
+    assert row["error"].startswith("WireError")
+    assert "int64 flat-index range" in row["error"]
+    assert "traceback" not in row
