@@ -15,6 +15,9 @@ The pass pipeline over per-op Python objects,
 ``repro.passes.default_lowering_pipeline().run(circuit)``, is the plain
 reference: the test suite and the ``lowering`` fuzz oracle check that this
 facade is gate-for-gate identical to it.
+
+This facade takes no options and does not touch the compile cache; the
+one cache-aware lowering is :func:`repro.exec.service.compile_lowered`.
 """
 
 from __future__ import annotations
@@ -22,46 +25,15 @@ from __future__ import annotations
 from repro.exceptions import SynthesisError
 from repro.qudit.circuit import QuditCircuit
 
-#: Safety bound on the number of rewriting sweeps (and on the per-op
-#: expansion recursion depth — sweeps bound nesting depth).
-_MAX_PASSES = 12
 
-
-def lower_to_g_gates(
-    circuit: QuditCircuit,
-    *,
-    cache=None,
-    cache_key: str = None,
-) -> QuditCircuit:
-    """Return an equivalent circuit consisting solely of G-gates.
-
-    ``cache=`` (a :class:`repro.exec.cache.CompileCache`) with ``cache_key=``
-    (a content address from :func:`repro.exec.keys.cache_key`, covering the
-    inputs that produced ``circuit``) opts into the persistent compile
-    cache: a hit skips lowering entirely and returns a circuit backed by the
-    cached columnar table; a miss lowers as usual and stores the result.
-    """
-    if cache is not None:
-        if cache_key is None:
-            raise SynthesisError("lower_to_g_gates(cache=...) requires cache_key=")
-        entry = cache.get(cache_key)
-        if entry is not None:
-            if not entry.table.is_g_circuit():
-                # The same guard the miss path enforces: a key addressing a
-                # macro-level artifact must not masquerade as lowered output.
-                raise SynthesisError(
-                    f"cache key {cache_key[:12]}… resolves to a non-G-gate table; "
-                    "it does not address lowered output"
-                )
-            return QuditCircuit.from_table(entry.table)
+def lower_to_g_gates(circuit: QuditCircuit) -> QuditCircuit:
+    """Return an equivalent circuit consisting solely of G-gates."""
     # Imported lazily: repro.ir.lowering reaches into repro.passes, which
     # pulls in repro.core synthesis modules; a module-level import here
     # would close that cycle during package initialisation.
     from repro.ir.lowering import lower_circuit_to_table
 
-    table = lower_circuit_to_table(circuit, max_sweeps=_MAX_PASSES)
+    table = lower_circuit_to_table(circuit)
     if not table.is_g_circuit():  # pragma: no cover - defensive
         raise SynthesisError("lowering did not converge to G-gates")
-    if cache is not None:
-        cache.put(cache_key, table)
     return QuditCircuit.from_table(table, name=f"{circuit.name} [G]")

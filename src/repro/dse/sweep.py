@@ -19,7 +19,7 @@ Two chunk modes:
   ``auto_select`` skips with a "no estimate" note.
 * ``materialized`` — non-default :data:`PIPELINE_VARIANTS` have no affine
   calibration, so their points synthesise the macro circuit (through the
-  compile cache) and run the variant pipeline on its table.  These are
+  compile cache) and lower it with the variant function.  These are
   bounded by ``SweepSpec.max_materialized_k``.
 """
 
@@ -52,33 +52,29 @@ STATUS_OFFSCALE = 1
 STATUS_ERROR = 2
 
 
-def _pipeline_expand_only():
-    from repro.passes import ExpandMacros, PassPipeline
+def _lower_expand_only(macro):
+    """Macro expansion alone: no identity drop, fusion or cancellation."""
+    from repro.ir.lowering import expand_to_table
 
-    return PassPipeline([ExpandMacros()], name="expand-only")
-
-
-def _pipeline_no_fuse():
-    from repro.passes import (
-        CancelAdjacentInverses,
-        DropIdentities,
-        ExpandMacros,
-        PassPipeline,
-    )
-
-    return PassPipeline(
-        [DropIdentities(), ExpandMacros(), CancelAdjacentInverses(), DropIdentities()],
-        name="no-fuse",
-    )
+    return expand_to_table(macro)
 
 
-#: Named pass-pipeline variants a sweep can cover.  ``"default"`` is the
-#: production lowering pipeline, answered analytically by the estimator;
-#: the other entries are factories materialised per point.
+def _lower_no_fuse(macro):
+    """The default lowering without single-qudit fusion."""
+    from repro.ir.lowering import cancel_adjacent_inverses, drop_identities, expand_to_table
+    from repro.passes import DropIdentities
+
+    return drop_identities(cancel_adjacent_inverses(expand_to_table(DropIdentities().run(macro))))
+
+
+#: Named lowering variants a sweep can cover.  ``"default"`` is the
+#: production lowering, answered analytically by the estimator; the other
+#: entries lower a macro circuit to a ``GateTable`` per point, built from
+#: the production stages of :mod:`repro.ir.lowering`.
 PIPELINE_VARIANTS = {
     "default": None,
-    "expand-only": _pipeline_expand_only,
-    "no-fuse": _pipeline_no_fuse,
+    "expand-only": _lower_expand_only,
+    "no-fuse": _lower_no_fuse,
 }
 
 
@@ -388,7 +384,7 @@ def _eval_materialized(chunk: _Chunk, cache) -> Dict[str, object]:
     from repro.synth import registry
 
     strategy = registry.get(chunk.strategy)
-    pipeline = PIPELINE_VARIANTS[chunk.pipeline]()
+    lower = PIPELINE_VARIANTS[chunk.pipeline]
     ks = chunk.ks()
     ks = ks[strategy.supports_batch(chunk.dim, ks)]
     out = _blank_result(chunk, ks.size)
@@ -398,7 +394,7 @@ def _eval_materialized(chunk: _Chunk, cache) -> Dict[str, object]:
         try:
             result = registry.synthesize(chunk.strategy, chunk.dim, int(k), cache=cache)
             macro = result.circuit
-            table = pipeline.run_table(macro.to_table())
+            table = lower(macro)
         except _POINT_ERRORS:
             out["status"][index] = STATUS_ERROR
             continue

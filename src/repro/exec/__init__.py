@@ -4,7 +4,7 @@
 expensive work is computed once, content-addressed, and reused —
 
 * :mod:`repro.exec.keys` — stable cache keys over
-  ``(strategy, d, k, stage, pipeline spec, code-version salt)``;
+  ``(strategy, d, k, stage, code-version salt)``;
 * :mod:`repro.exec.serialize` — lossless ``GateTable`` ↔ ``.npz``
   serialization (columns + interned pools, nothing pickled);
 * :mod:`repro.exec.cache` — :class:`CompileCache`, an in-process memo over
@@ -17,7 +17,7 @@ expensive work is computed once, content-addressed, and reused —
 """
 
 from repro.exec.cache import CacheEntry, CacheStats, CompileCache
-from repro.exec.keys import CODE_VERSION, cache_key, pipeline_spec
+from repro.exec.keys import CODE_VERSION, cache_key
 from repro.exec.serialize import (
     FORMAT_VERSION,
     arrays_to_table,
@@ -62,7 +62,6 @@ __all__ = [
     "load_table",
     "lowered_key",
     "merge_cache_stats",
-    "pipeline_spec",
     "plan_workload",
     "run_workload",
     "save_table",

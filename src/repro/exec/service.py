@@ -4,14 +4,13 @@
 CLI use: given ``(strategy, d, k)`` it produces the simulation-ready
 circuit (G-lowered for permutation circuits, the macro circuit otherwise),
 consulting a :class:`~repro.exec.cache.CompileCache` first and populating
-it on a miss.  The cache key covers the strategy, the scenario, the
-pass-pipeline spec and the code-version salt — see
-:mod:`repro.exec.keys`.
+it on a miss.  The cache key covers the strategy, the scenario and the
+code-version salt — see :mod:`repro.exec.keys`.
 
-The lower-level opt-ins live on the public APIs themselves:
+This is the one cache-aware lowering; ``repro.core.lowering.lower_to_g_gates``
+itself never touches a cache.  Below it, only
 ``repro.synth.registry.synthesize(..., cache=...)`` caches the macro-level
-synthesis output, and ``repro.core.lowering.lower_to_g_gates(...,
-cache=..., cache_key=...)`` caches the lowered table.
+synthesis output.
 """
 
 from __future__ import annotations
@@ -51,11 +50,10 @@ def lowered_key(
     dim: int,
     k: int,
     *,
-    pipeline=None,
     salt: Optional[str] = None,
 ) -> str:
     """The content address of the lowered form of ``strategy(d, k)``."""
-    return cache_key(strategy, dim, k, stage="lowered", pipeline=pipeline, salt=salt)
+    return cache_key(strategy, dim, k, stage="lowered", salt=salt)
 
 
 def compile_lowered(

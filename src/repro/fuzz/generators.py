@@ -15,7 +15,7 @@ Three kinds of artifacts are generated, each fully determined by a seed:
   entry's :class:`~repro.synth.strategy.Capabilities` (parities, ``min_dim``,
   ``min_k``) with per-family size caps so instances stay materialisable.
 * **pass pipelines** (:func:`random_pipeline`) — random orderings of the
-  peephole passes, used to exercise ``Pass.run`` against ``run_table``.
+  peephole passes, each step checked against its table kernel.
 
 Basis-state sampling delegates to
 :func:`repro.sim.verify.sample_basis_states`, the same seeded code path the

@@ -1,7 +1,7 @@
 """Differential oracles: run one artifact through every redundant path.
 
 The repo keeps one production path per layer plus a plain reference for
-it — the object pass pipeline for columnar lowering, object pass kernels
+it — the object pass pipeline for columnar lowering, the object passes
 for the table kernels, the dense per-op walk for every simulation engine
 and the whole-basis gather, materialised counting for analytic
 estimation, circuits for their ``GateTable`` twins.  Each oracle here runs
@@ -28,8 +28,10 @@ Oracles
 ``inverse``
     metamorphic check: ``circuit ∘ circuit.inverse()`` is the identity.
 ``passes``
-    a random peephole pipeline run via ``Pass.run`` vs. ``run_table`` gives
-    identical ops, identical history records, and preserves semantics.
+    a random peephole pipeline run pass by pass: after each
+    ``DropIdentities`` / ``CancelAdjacentInverses`` step, the table kernel
+    on that step's input gives identical ops; no step grows the circuit,
+    and the pipeline preserves semantics.
 ``lowering``
     ``lower_to_g_gates`` vs. the reference
     ``default_lowering_pipeline().run``: both accept or both reject; on
@@ -59,9 +61,15 @@ import numpy as np
 from repro.core.gate_counts import count_gates
 from repro.core.lowering import lower_to_g_gates
 from repro.exceptions import EstimationError, SynthesisError, VerificationError
+from repro.ir import rewrite
 from repro.ir.index_plan import reference_apply_to_indices
 from repro.ir.table import DEFAULT_INDEX_CHUNK
-from repro.passes import PassPipeline, default_lowering_pipeline
+from repro.passes import (
+    CancelAdjacentInverses,
+    DropIdentities,
+    PassPipeline,
+    default_lowering_pipeline,
+)
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.resources.estimator import METRIC_FIELDS
@@ -91,6 +99,14 @@ ORACLE_NAMES: Tuple[str, ...] = (
     "estimator",
     "synth-spec",
 )
+
+#: The :mod:`repro.ir.rewrite` kernel each object peephole pass is checked
+#: against (looked up per call).  ``FuseSingleQuditGates`` has none:
+#: lowering fuses at the macro level.
+_PASS_KERNELS = {
+    DropIdentities: "drop_identities",
+    CancelAdjacentInverses: "cancel_adjacent_inverses",
+}
 
 #: Largest basis a synthesis-instance semantic check will enumerate.
 #: Beyond it the check switches to batched sampled index propagation
@@ -446,25 +462,31 @@ def check_inverse_identity(circuit: QuditCircuit, state_seed: int) -> Optional[s
 
 
 def check_pass_equivalence(circuit: QuditCircuit, pipeline: PassPipeline) -> Optional[str]:
-    """``Pass.run`` vs ``run_table``: identical output, records, semantics."""
+    """The object passes step by step against their table kernels.
+
+    Each step's output must match its columnar kernel (when it has one) on
+    the same input, must not grow the circuit, and the whole pipeline must
+    preserve the input's semantics.
+    """
     plain = _plain_copy(circuit)
-    expected = pipeline.run(plain)
-    object_history = [(r.pass_name, r.ops_before, r.ops_after) for r in pipeline.history]
-    actual_table = pipeline.run_table(circuit.to_table())
-    table_history = [(r.pass_name, r.ops_before, r.ops_after) for r in pipeline.history]
-    if object_history != table_history:
-        return f"pipeline records differ: object {object_history} vs table {table_history}"
-    difference = describe_op_difference(expected, actual_table.to_circuit())
-    if difference:
-        return f"object vs table pass output: {difference}"
-    if expected.num_ops() > plain.num_ops():
-        return (
-            f"optimization passes grew the circuit: {plain.num_ops()} -> "
-            f"{expected.num_ops()} ops"
-        )
+    current = plain
+    for step in pipeline:
+        output = step.run(current)
+        kernel = _PASS_KERNELS.get(type(step))
+        if kernel is not None:
+            table = getattr(rewrite, kernel)(current.to_table())
+            difference = describe_op_difference(output, table.to_circuit())
+            if difference:
+                return f"{step.name}: object pass vs table kernel: {difference}"
+        if output.num_ops() > current.num_ops():
+            return (
+                f"{step.name} grew the circuit: {current.num_ops()} -> "
+                f"{output.num_ops()} ops"
+            )
+        current = output
     if circuit.is_permutation:
-        before = permutation_index_table(_plain_copy(circuit))
-        after = permutation_index_table(_plain_copy(expected))
+        before = permutation_index_table(plain)
+        after = permutation_index_table(_plain_copy(current))
         if not np.array_equal(before, after):
             offender = int(np.nonzero(before != after)[0][0])
             return (

@@ -6,10 +6,10 @@ a :class:`GateTable` stores a circuit as eight parallel numpy int columns
 all Python payloads interned once into shared pools.  Conversion is
 lossless in both directions (``QuditCircuit.to_table()`` /
 ``GateTable.to_circuit()``), counting/depth/inverse/remap queries run as
-column kernels, the peephole passes have table-native linear rewrites
-(:mod:`repro.ir.rewrite`), and :func:`lower_circuit_to_table` lowers
-synthesis output straight into a table through cached wire-relabelled
-expansion templates.
+column kernels, the identity-drop and inverse-cancel passes have
+table-native rewrites (:mod:`repro.ir.rewrite`), and
+:func:`lower_circuit_to_table` lowers synthesis output straight into a
+table through cached wire-relabelled expansion templates.
 """
 
 from repro.ir.pools import (
@@ -23,7 +23,6 @@ from repro.ir.pools import (
 from repro.ir.rewrite import (
     cancel_adjacent_inverses,
     drop_identities,
-    fuse_single_qudit,
     segment_bounds,
 )
 from repro.ir.segment import Segment, compose_gather, segment_table
@@ -48,7 +47,6 @@ __all__ = [
     "segment_bounds",
     "drop_identities",
     "cancel_adjacent_inverses",
-    "fuse_single_qudit",
     "expand_to_table",
     "lower_circuit_to_table",
 ]

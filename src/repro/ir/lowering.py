@@ -52,7 +52,7 @@ def _template_key(op: BaseOp, dim: int) -> tuple:
     raise SynthesisError(f"cannot lower unknown operation {op!r}")
 
 
-def _canonical_expansion(op: BaseOp, dim: int, max_sweeps: int) -> Tuple[Tuple[BaseOp, ...], bool]:
+def _canonical_expansion(op: BaseOp, dim: int) -> Tuple[Tuple[BaseOp, ...], bool]:
     """Expand ``op`` with wires relabelled to ``0..m-1`` (cached globally)."""
     # Imported here: repro.passes.__init__ pulls in synthesis modules that
     # must not load while repro.ir is being imported at package-init time.
@@ -70,7 +70,7 @@ def _canonical_expansion(op: BaseOp, dim: int, max_sweeps: int) -> Tuple[Tuple[B
             used[0] = True
             return borrow_slot
 
-        ops = tuple(expand_fully(canonical, dim, find_borrow, fuel=max_sweeps))
+        ops = tuple(expand_fully(canonical, dim, find_borrow))
         cached = (ops, used[0])
         while len(_TEMPLATE_OPS_CACHE) >= _TEMPLATE_OPS_CACHE_MAX:
             _TEMPLATE_OPS_CACHE.pop(next(iter(_TEMPLATE_OPS_CACHE)))
@@ -85,7 +85,7 @@ def _lowest_idle_wire(num_wires: int, op: BaseOp) -> int:
     return lowest_idle_wire(num_wires, op)
 
 
-def expand_to_table(circuit: QuditCircuit, max_sweeps: int = 12) -> GateTable:
+def expand_to_table(circuit: QuditCircuit) -> GateTable:
     """Expand every macro of ``circuit`` into a G-gate table via templates."""
     dim = circuit.dim
     builder = TableBuilder(circuit.num_wires, dim, name=circuit.name)
@@ -99,7 +99,7 @@ def expand_to_table(circuit: QuditCircuit, max_sweeps: int = 12) -> GateTable:
         key = _template_key(op, dim)
         entry = blocks.get(key)
         if entry is None:
-            ops, borrow_used = _canonical_expansion(op, dim, max_sweeps)
+            ops, borrow_used = _canonical_expansion(op, dim)
             if ops:
                 block = np.asarray([encode_op(g, builder.pools) for g in ops], dtype=np.int64)
             else:
@@ -121,7 +121,7 @@ def expand_to_table(circuit: QuditCircuit, max_sweeps: int = 12) -> GateTable:
     return builder.build()
 
 
-def lower_circuit_to_table(circuit: QuditCircuit, max_sweeps: int = 12) -> GateTable:
+def lower_circuit_to_table(circuit: QuditCircuit) -> GateTable:
     """The columnar twin of the default lowering pipeline.
 
     Stage order matches :func:`repro.passes.default_lowering_pipeline`:
@@ -133,7 +133,7 @@ def lower_circuit_to_table(circuit: QuditCircuit, max_sweeps: int = 12) -> GateT
     from repro.passes.optimize import DropIdentities, FuseSingleQuditGates
 
     macro = FuseSingleQuditGates().run(DropIdentities().run(circuit))
-    table = expand_to_table(macro, max_sweeps=max_sweeps)
+    table = expand_to_table(macro)
     table = cancel_adjacent_inverses(table)
     table = drop_identities(table)
     table.name = circuit.name

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.exceptions import GateError
 from repro.qudit.controls import ControlPredicate, Value
-from repro.qudit.gates import Gate, SingleQuditUnitary, XPerm
+from repro.qudit.gates import Gate, XPerm
 from repro.utils import permutations as perm_utils
 
 
@@ -58,7 +58,6 @@ class PermGatePool:
         self._struct_ids: Dict[tuple, int] = {}
         self._struct_of: List[int] = []
         self._inverse_memo: Dict[int, int] = {}
-        self._fuse_memo: Dict[Tuple[int, int], int] = {}
         self._caches: Dict[str, tuple] = {}
 
     def __len__(self) -> int:
@@ -84,16 +83,6 @@ class PermGatePool:
         if out is None:
             out = self.intern(self._gates[gid].inverse())
             self._inverse_memo[gid] = out
-        return out
-
-    def fuse_id(self, first: int, second: int) -> int:
-        """Pool id of the gate equal to applying ``first`` then ``second``."""
-        out = self._fuse_memo.get((first, second))
-        if out is None:
-            a, b = self._gates[first], self._gates[second]
-            merged = perm_utils.compose(b.permutation(), a.permutation())
-            out = self.intern(XPerm(merged, label=f"{a.label}·{b.label}"))
-            self._fuse_memo[(first, second)] = out
         return out
 
     # ------------------------------------------------------------------
@@ -167,7 +156,6 @@ class UnitaryGatePool:
         self._ids: Dict[tuple, int] = {}
         self._inverse_memo: Dict[int, int] = {}
         self._cancel_memo: Dict[Tuple[int, int], bool] = {}
-        self._fuse_memo: Dict[Tuple[int, int], int] = {}
         self._caches: Dict[str, tuple] = {}
 
     def __len__(self) -> int:
@@ -201,17 +189,6 @@ class UnitaryGatePool:
             dim = product.shape[0]
             out = bool(np.allclose(product, np.eye(dim), atol=1e-9))
             self._cancel_memo[(first, second)] = out
-        return out
-
-    def fuse_id(self, first: int, second: int) -> int:
-        out = self._fuse_memo.get((first, second))
-        if out is None:
-            a, b = self._gates[first], self._gates[second]
-            product = b.matrix() @ a.matrix()
-            out = self.intern(
-                SingleQuditUnitary(product, label=f"{a.label}·{b.label}", check=False)
-            )
-            self._fuse_memo[(first, second)] = out
         return out
 
     def is_identity(self) -> np.ndarray:

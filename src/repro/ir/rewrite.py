@@ -11,9 +11,10 @@ gate-for-gate identical, which the test suite asserts:
   nearest earlier wire-sharing row and tests that pair column-wise in
   O(rows) (plus one stable sort of the wire incidences), and Python then
   visits only the rows that cancel and the next rows on their wires, so
-  its work is proportional to the cancellations, not to the rows;
-* :func:`fuse_single_qudit` — a single linear sweep with a per-wire
-  last-touch index, composing payloads through the interned pools.
+  its work is proportional to the cancellations, not to the rows.
+
+Single-qudit fusion has no kernel here: production lowering fuses at the
+macro level with the object pass, before expansion.
 """
 
 from __future__ import annotations
@@ -95,17 +96,6 @@ def drop_identities(table: GateTable) -> GateTable:
     if not drop.any():
         return table
     return table.select(~drop)
-
-
-def _row_wires(table: GateTable, i: int, targets, wires_a, wires_b, extras) -> List[int]:
-    wires = [targets[i]]
-    if wires_a[i] >= 0:
-        wires.append(wires_a[i])
-    if wires_b[i] >= 0:
-        wires.append(wires_b[i])
-    if extras[i] >= 0:
-        wires.extend(w for w, _ in table.pools.extras.entry(extras[i]))
-    return wires
 
 
 def _incidences(table: GateTable):
@@ -293,61 +283,3 @@ def cancel_adjacent_inverses(table: GateTable) -> GateTable:
                     heapq.heappush(children, child)
     keep = np.frombuffer(removed, dtype=np.uint8) == 0
     return table.select(keep)
-
-
-def fuse_single_qudit(table: GateTable) -> GateTable:
-    """Fuse runs of uncontrolled single-qudit rows on one wire into one row.
-
-    Mirrors ``FuseSingleQuditGates``: a per-wire last-touch index finds the
-    nearest prior row on the target wire in O(1); when that row is itself an
-    uncontrolled single-qudit gate the payloads compose through the pools
-    (permutation·permutation stays a permutation, anything dense becomes a
-    dense unitary) and the later row is dropped.
-    """
-    n = len(table)
-    if not n:
-        return table
-    opcode = table.opcode.tolist()
-    targets = table.target.tolist()
-    wires_a = table.wire_a.tolist()
-    wires_b = table.wire_b.tolist()
-    payloads = table.payload.tolist()
-    extras = table.extra.tolist()
-
-    perms = table.pools.perms
-    unitaries = table.pools.unitaries
-
-    def fusable(i: int) -> bool:
-        return opcode[i] != OP_STAR and wires_a[i] < 0
-
-    alive = [True] * n
-    last = [-1] * table.num_wires
-    for i in range(n):
-        if fusable(i):
-            j = last[targets[i]]
-            if j >= 0 and fusable(j):
-                # ``j`` touches only its target, which equals this row's target.
-                if opcode[j] == OP_PERM and opcode[i] == OP_PERM:
-                    payloads[j] = perms.fuse_id(payloads[j], payloads[i])
-                else:
-                    first = (
-                        unitaries.intern(perms.gate(payloads[j]))
-                        if opcode[j] == OP_PERM
-                        else payloads[j]
-                    )
-                    second = (
-                        unitaries.intern(perms.gate(payloads[i]))
-                        if opcode[i] == OP_PERM
-                        else payloads[i]
-                    )
-                    payloads[j] = unitaries.fuse_id(first, second)
-                    opcode[j] = OP_UNITARY
-                alive[i] = False
-                continue
-        for w in _row_wires(table, i, targets, wires_a, wires_b, extras):
-            last[w] = i
-    mask = np.asarray(alive, dtype=bool)
-    out = table.replace_columns(opcode=opcode, payload=payloads)
-    if mask.all():
-        return out
-    return out.select(mask)

@@ -203,13 +203,6 @@ class GateTable:
             name=self.name,
         )
 
-    def replace_columns(self, **named) -> "GateTable":
-        """A new table (sharing pools) with some columns swapped out."""
-        columns = list(self.columns)
-        for key, value in named.items():
-            columns[COLUMNS.index(key)] = np.asarray(value, dtype=_WIRE_DTYPE)
-        return GateTable(self.num_wires, self.dim, columns, self.pools, name=self.name)
-
     # ------------------------------------------------------------------
     # Row-level decoding (the boundary back to the object IR)
     # ------------------------------------------------------------------

@@ -23,21 +23,21 @@ from repro.passes.optimize import (
 )
 
 
-def default_lowering_pipeline(max_sweeps: int = 12) -> PassPipeline:
+def default_lowering_pipeline() -> PassPipeline:
     """The reference pipeline ``lower_to_g_gates`` reproduces.
 
     Identity removal and single-qudit fusion happen at the macro level
     (fusing *before* expansion keeps the result a G-circuit), then the fixed
-    point expansion to G-gates (bounded by ``max_sweeps``), then peephole
-    cleanup.  Every optimization pass only removes or merges operations, so
-    the final G-gate count is never larger than what plain expansion would
-    produce.
+    point expansion to G-gates (bounded by ``MAX_EXPANSION_DEPTH``), then
+    peephole cleanup.  Every optimization pass only removes or merges
+    operations, so the final G-gate count is never larger than what plain
+    expansion would produce.
     """
     return PassPipeline(
         [
             DropIdentities(),
             FuseSingleQuditGates(),
-            ExpandMacros(max_sweeps=max_sweeps),
+            ExpandMacros(),
             CancelAdjacentInverses(),
             DropIdentities(),
         ],

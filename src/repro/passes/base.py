@@ -6,6 +6,10 @@ A *pass* is a semantics-preserving circuit rewrite: it consumes a
 and records how each one changed the operation count, which is how the
 reference lowering pipeline and the benchmarks report where gates were
 saved.
+
+Each pass has exactly one method, :meth:`Pass.run`, over circuit objects.
+The columnar production lowering (:mod:`repro.ir.lowering`) runs its own
+table kernels and is checked gate for gate against these passes.
 """
 
 from __future__ import annotations
@@ -28,25 +32,6 @@ class Pass:
 
     def run(self, circuit: QuditCircuit) -> QuditCircuit:
         raise NotImplementedError
-
-    def run_table(self, table):
-        """Run the pass on a columnar :class:`~repro.ir.table.GateTable`.
-
-        Passes with a table-native rewrite override this; the default
-        bridges through the object form (materialise, rewrite, re-encode),
-        so a mixed pipeline still works end to end.
-        """
-        return self.run(table.to_circuit()).to_table()
-
-    def spec(self) -> dict:
-        """Canonical JSON-able description of this pass and its parameters.
-
-        The compile cache (:mod:`repro.exec`) hashes pipeline specs into
-        cache keys, so the spec must be stable across processes and must
-        change whenever a parameter that affects the output changes.
-        Parameterised passes override this to include their knobs.
-        """
-        return {"pass": self.name}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -86,28 +71,6 @@ class PassPipeline:
             current = step.run(current)
             self.history.append(PassRecord(step.name, before, current.num_ops()))
         return current
-
-    def run_table(self, table):
-        """Apply every pass in order on the columnar IR, staying columnar.
-
-        Table-native passes rewrite the columns directly; passes without a
-        table kernel bridge through the object form for their step only.
-        """
-        self.history = []
-        current = table
-        for step in self.passes:
-            before = current.num_ops()
-            current = step.run_table(current)
-            self.history.append(PassRecord(step.name, before, current.num_ops()))
-        return current
-
-    def spec(self) -> dict:
-        """Canonical JSON-able description of the whole pipeline.
-
-        The concatenation of every pass spec in order; hashed by the compile
-        cache to distinguish pipelines that would produce different output.
-        """
-        return {"pipeline": self.name, "passes": [step.spec() for step in self.passes]}
 
     def __iter__(self) -> Iterator[Pass]:
         return iter(self.passes)

@@ -44,21 +44,21 @@ from repro.core.two_controlled import two_controlled_transposition_ops
 from repro.utils import permutations as perm_utils
 
 
+#: Bound on macro nesting: the number of rewriting sweeps ``ExpandMacros``
+#: runs, and the recursion depth of ``expand_fully`` (and so of the table
+#: lowering templates).  One sweep expands one level of nesting, so both
+#: accept and reject exactly the same circuits.
+MAX_EXPANSION_DEPTH = 12
+
+
 class ExpandMacros(Pass):
     """Expand every macro operation into G-gates (fixed-point rewriter)."""
 
     name = "expand-macros"
 
-    def __init__(self, max_sweeps: int = 12):
-        #: Safety bound on the number of rewriting sweeps.
-        self.max_sweeps = max_sweeps
-
-    def spec(self) -> dict:
-        return {"pass": self.name, "max_sweeps": self.max_sweeps}
-
     def run(self, circuit: QuditCircuit) -> QuditCircuit:
         current = circuit
-        for _ in range(self.max_sweeps):
+        for _ in range(MAX_EXPANSION_DEPTH):
             if current.is_g_circuit():
                 return current.copy()
             next_circuit = QuditCircuit(current.num_wires, current.dim, name=current.name)
@@ -77,7 +77,7 @@ BorrowFinder = Callable[[BaseOp], int]
 
 
 def expand_fully(
-    op: BaseOp, dim: int, find_borrow: BorrowFinder, fuel: int = 12
+    op: BaseOp, dim: int, find_borrow: BorrowFinder, fuel: int = MAX_EXPANSION_DEPTH
 ) -> List[BaseOp]:
     """Expand one operation all the way down to G-gates (depth-first).
 

@@ -17,10 +17,12 @@ can shrink but never grow.
 
 Each pass runs in a single linear sweep: per-wire stacks (cancel) or a
 per-wire last-touch index (fuse) make "the nearest prior op sharing a wire"
-an O(1) lookup, replacing the old quadratic backward rescans.  Every pass
-also has a table-native twin (``run_table``) operating on the columnar
-:class:`~repro.ir.table.GateTable` IR via the kernels in
-:mod:`repro.ir.rewrite`; both paths are gate-for-gate identical.
+an O(1) lookup, replacing the old quadratic backward rescans.  These passes
+are the object reference for the columnar kernels in
+:mod:`repro.ir.rewrite` (:func:`~repro.ir.rewrite.drop_identities` and
+:func:`~repro.ir.rewrite.cancel_adjacent_inverses`), which are checked gate
+for gate against them.  Fusion runs only here: production lowering fuses
+at the small macro level, before expansion, so it has no table kernel.
 """
 
 from __future__ import annotations
@@ -86,11 +88,6 @@ class DropIdentities(Pass):
         kept = [op for op in circuit if not self._is_identity(op, circuit.dim)]
         return _rebuild(circuit, kept)
 
-    def run_table(self, table):
-        from repro.ir.rewrite import drop_identities
-
-        return drop_identities(table)
-
     @staticmethod
     def _is_identity(op: BaseOp, dim: int) -> bool:
         if not isinstance(op, Operation):
@@ -140,11 +137,6 @@ class CancelAdjacentInverses(Pass):
                 stacks[w].append(index)
         return _rebuild(circuit, [op for op in kept if op is not None])
 
-    def run_table(self, table):
-        from repro.ir.rewrite import cancel_adjacent_inverses
-
-        return cancel_adjacent_inverses(table)
-
 
 class FuseSingleQuditGates(Pass):
     """Fuse runs of uncontrolled single-qudit gates on one wire into one gate.
@@ -174,11 +166,6 @@ class FuseSingleQuditGates(Pass):
             for w in op.wires():
                 last[w] = index
         return _rebuild(circuit, kept)
-
-    def run_table(self, table):
-        from repro.ir.rewrite import fuse_single_qudit
-
-        return fuse_single_qudit(table)
 
     @staticmethod
     def _fusable(op: BaseOp) -> bool:

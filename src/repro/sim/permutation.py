@@ -16,13 +16,13 @@ instead of ``m * d^n`` Python-level gate applications.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GateError
 from repro.qudit.circuit import QuditCircuit
-from repro.utils.indexing import digit_matrix, indices_to_digits, iterate_basis
+from repro.utils.indexing import digit_matrix, indices_to_digits
 
 BasisState = Tuple[int, ...]
 
@@ -121,23 +121,3 @@ def states_differing_on(
         (tuple(sources[i].tolist()), tuple(images[i].tolist()))
         for i in np.nonzero(changed)[0]
     ]
-
-
-def evaluate_spec(
-    spec: Callable[[BasisState], BasisState], dim: int, num_wires: int
-) -> Dict[BasisState, BasisState]:
-    """Tabulate a semantic specification function over the full basis."""
-    table = {}
-    for state in iterate_basis(dim, num_wires):
-        image = tuple(spec(state))
-        if len(image) != num_wires:
-            raise GateError("specification returned a state of the wrong length")
-        table[state] = image
-    return table
-
-
-def index_permutation_to_digit_map(table: Sequence[int], dim: int, num_wires: int) -> Dict[BasisState, BasisState]:
-    """Convert a flat-index permutation table into a digit-tuple mapping."""
-    sources = indices_to_digits(np.arange(len(table)), dim, num_wires).tolist()
-    images = indices_to_digits(np.asarray(table), dim, num_wires).tolist()
-    return {tuple(source): tuple(image) for source, image in zip(sources, images)}

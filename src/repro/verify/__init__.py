@@ -30,7 +30,7 @@ from repro.verify.budget import (
     VerificationBudget,
 )
 from repro.verify.report import TierRecord, VerificationReport
-from repro.verify.verifier import TieredVerifier, Verifier, resolve_budget
+from repro.verify.verifier import TieredVerifier, resolve_budget
 from repro.verify import checks
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "TierRecord",
     "VerificationReport",
     "TieredVerifier",
-    "Verifier",
     "resolve_budget",
     "checks",
 ]

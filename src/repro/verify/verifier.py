@@ -1,7 +1,10 @@
 """The tiered verifier: escalate cheap → expensive until a tier decides.
 
-:class:`Verifier` is the abstract interface every verification entry point
-routes through; :class:`TieredVerifier` is the budgeted implementation.  For
+:class:`TieredVerifier` is the one verifier every verification entry point
+routes through.  Its methods return a
+:class:`~repro.verify.report.VerificationReport` and never raise on
+divergence themselves (callers that want exceptions use
+:meth:`~repro.verify.report.VerificationReport.raise_if_failed`).  For
 each check it runs the structural tier first (always affordable), then picks
 the cheapest *deciding* tier the :class:`~repro.verify.budget.
 VerificationBudget` allows:
@@ -22,7 +25,6 @@ decided and why, the states checked, the seeds, and a replay recipe.
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -66,60 +68,7 @@ def resolve_budget(budget: BudgetLike) -> VerificationBudget:
     return budget
 
 
-class Verifier(abc.ABC):
-    """Interface shared by every verification entry point.
-
-    Implementations return a :class:`VerificationReport`; they never raise on
-    divergence themselves (callers that want exceptions use
-    :meth:`VerificationReport.raise_if_failed`).
-    """
-
-    @abc.abstractmethod
-    def verify_permutation(
-        self,
-        circuit,
-        spec: checks.Spec,
-        *,
-        clean_wires: Sequence[int] = (),
-    ) -> VerificationReport:
-        """Check that ``circuit`` maps basis states exactly as ``spec`` does."""
-
-    @abc.abstractmethod
-    def verify_wires_preserved(
-        self, circuit, wires: Sequence[int]
-    ) -> VerificationReport:
-        """Check that ``circuit`` restores ``wires`` on every basis input."""
-
-    @abc.abstractmethod
-    def verify_unitary(
-        self,
-        circuit,
-        expected: Optional[np.ndarray] = None,
-        *,
-        expected_factory: Optional[Callable[[], np.ndarray]] = None,
-        expected_column: Optional[Callable[[int], np.ndarray]] = None,
-        required_columns: Sequence[int] = (),
-        up_to_global_phase: bool = False,
-        atol: float = 1e-8,
-        backend=None,
-    ) -> VerificationReport:
-        """Check the circuit's unitary against a matrix and/or column oracle."""
-
-    @abc.abstractmethod
-    def verify_unitary_clean_ancillas(
-        self,
-        circuit,
-        expected: np.ndarray,
-        data_wires: Sequence[int],
-        clean_wires: Sequence[int],
-        *,
-        atol: float = 1e-8,
-        backend=None,
-    ) -> VerificationReport:
-        """Check ``expected`` on the clean-ancilla ``|0…0⟩`` subspace."""
-
-
-class TieredVerifier(Verifier):
+class TieredVerifier:
     """Budget-driven verifier escalating structural → sampled → exhaustive."""
 
     def __init__(self, budget: BudgetLike = None):
@@ -214,6 +163,7 @@ class TieredVerifier(Verifier):
         *,
         clean_wires: Sequence[int] = (),
     ) -> VerificationReport:
+        """Check that ``circuit`` maps basis states exactly as ``spec`` does."""
         budget = self.budget
         report = VerificationReport(
             kind="permutation", circuit=circuit.name, status=STATUS_UNDECIDED
@@ -251,6 +201,7 @@ class TieredVerifier(Verifier):
     def verify_wires_preserved(
         self, circuit, wires: Sequence[int]
     ) -> VerificationReport:
+        """Check that ``circuit`` restores ``wires`` on every basis input."""
         budget = self.budget
         report = VerificationReport(
             kind="wires-preserved", circuit=circuit.name, status=STATUS_UNDECIDED
@@ -298,6 +249,7 @@ class TieredVerifier(Verifier):
         atol: float = 1e-8,
         backend=None,
     ) -> VerificationReport:
+        """Check the circuit's unitary against a matrix and/or column oracle."""
         if expected is None and expected_factory is None and expected_column is None:
             raise VerificationError(
                 "verify_unitary needs an expected matrix, matrix factory, "
@@ -417,6 +369,7 @@ class TieredVerifier(Verifier):
         atol: float = 1e-8,
         backend=None,
     ) -> VerificationReport:
+        """Check ``expected`` on the clean-ancilla ``|0…0⟩`` subspace."""
         budget = self.budget
         report = VerificationReport(
             kind="unitary-clean-ancillas", circuit=circuit.name, status=STATUS_UNDECIDED

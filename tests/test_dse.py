@@ -9,6 +9,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.dse import (
+    PIPELINE_VARIANTS,
     SweepSpec,
     TuningDB,
     frontier_report,
@@ -343,6 +344,35 @@ def test_materialized_pipeline_variant_rows():
     def_rows = {int(cols["k"][i]): int(cols["g_gates"][i]) for i in order if default[i]}
     assert all(exp_rows[k] >= def_rows[k] for k in exp_rows)
     assert any(exp_rows[k] > def_rows[k] for k in exp_rows)
+
+
+def test_materialized_no_fuse_variant_rows():
+    spec = SweepSpec(
+        strategies=("mct", "mct-even"),
+        dims=(3, 4),
+        k_stop=4,
+        pipelines=("expand-only", "no-fuse"),
+    )
+    store = run_sweep(spec)
+    assert store.counts()["error"] == 0
+    cols = store.columns
+    rows = {}
+    for i in range(len(store)):
+        key = (store.strategies[cols["strategy_id"][i]], int(cols["dim"][i]), int(cols["k"][i]))
+        rows.setdefault(key, {})[store.pipelines[cols["pipeline_id"][i]]] = i
+    # mct at d = 3, 4 and mct-even at d = 4 only (odd d is unsupported there).
+    assert len(rows) == 15
+    for (strategy, dim, k), by_variant in rows.items():
+        no_fuse, expand = by_variant["no-fuse"], by_variant["expand-only"]
+        # Cancellation and identity removal only ever remove G-gates.
+        assert cols["g_gates"][no_fuse] <= cols["g_gates"][expand]
+        # Every row is the variant function's table, metric for metric.
+        macro = registry.synthesize(strategy, dim, k).circuit
+        table = PIPELINE_VARIANTS["no-fuse"](macro)
+        assert cols["g_gates"][no_fuse] == table.g_gate_count()
+        assert cols["two_qudit_gates"][no_fuse] == table.two_qudit_count()
+        assert cols["depth"][no_fuse] == table.depth()
+        assert cols["macro_ops"][no_fuse] == macro.num_ops()
 
 
 # ----------------------------------------------------------------------

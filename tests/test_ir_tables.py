@@ -15,17 +15,16 @@ from repro import lower_to_g_gates, synthesize_mct
 from repro.exceptions import DimensionError, WireError
 from repro.fuzz import generators as fuzz_generators
 from repro.ir import (
-    GateTable,
     cancel_adjacent_inverses,
     drop_identities,
-    fuse_single_qudit,
     lower_circuit_to_table,
 )
 from repro.ir.table import OP_STAR, OP_UNITARY
+from repro.dse import PIPELINE_VARIANTS
 from repro.passes import (
     CancelAdjacentInverses,
     DropIdentities,
-    FuseSingleQuditGates,
+    ExpandMacros,
     PassPipeline,
     default_lowering_pipeline,
 )
@@ -210,13 +209,10 @@ def test_table_passes_match_object_passes(seed):
     for object_pass, kernel in [
         (DropIdentities(), drop_identities),
         (CancelAdjacentInverses(), cancel_adjacent_inverses),
-        (FuseSingleQuditGates(), fuse_single_qudit),
     ]:
         expected = object_pass.run(full)
         actual = kernel(full.to_table()).to_circuit()
         assert_ops_identical(expected, actual)
-        via_run_table = object_pass.run_table(full.to_table()).to_circuit()
-        assert_ops_identical(expected, via_run_table)
 
 
 # ----------------------------------------------------------------------
@@ -364,21 +360,6 @@ def test_lowered_tables_match_object_engine(strategy, dim, k):
     assert_ops_identical(expected, table.to_circuit())
 
 
-def test_pipeline_run_table_stays_columnar():
-    circuit = random_circuit(4, num_wires=4, dim=3, num_ops=30)
-    pipeline = PassPipeline(
-        [DropIdentities(), CancelAdjacentInverses(), FuseSingleQuditGates()], name="peephole"
-    )
-    expected = pipeline.run(circuit)
-    records_object = list(pipeline.history)
-    actual = pipeline.run_table(circuit.to_table())
-    assert isinstance(actual, GateTable)
-    assert [(r.pass_name, r.ops_before, r.ops_after) for r in pipeline.history] == [
-        (r.pass_name, r.ops_before, r.ops_after) for r in records_object
-    ]
-    assert_ops_identical(expected, actual.to_circuit())
-
-
 # ----------------------------------------------------------------------
 # Table lowering vs the object reference pipeline
 # ----------------------------------------------------------------------
@@ -406,6 +387,32 @@ def test_lower_circuit_to_table_counts_without_materialising():
     assert table.two_qudit_count() == lowered.two_qudit_count()
     assert table.depth() == lowered.depth()
     assert table.is_g_circuit()
+
+
+#: The object pipeline each materialised DSE lowering variant reproduces.
+_VARIANT_REFERENCES = {
+    "expand-only": lambda: [ExpandMacros()],
+    "no-fuse": lambda: [
+        DropIdentities(),
+        ExpandMacros(),
+        CancelAdjacentInverses(),
+        DropIdentities(),
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANT_REFERENCES))
+@pytest.mark.parametrize(
+    "strategy,dim,k",
+    [("mct", 3, 5), ("mct-even", 4, 5), ("increment", 3, 4), ("pk", 3, 4)],
+)
+def test_dse_lowering_variants_match_object_pipelines(variant, strategy, dim, k):
+    """Each DSE variant function is gate-for-gate its object pass pipeline
+    (``mct-even`` at d=4 exercises the borrowed-wire gadget)."""
+    macro = registry.synthesize(strategy, dim, k).circuit
+    table = PIPELINE_VARIANTS[variant](macro)
+    expected = PassPipeline(_VARIANT_REFERENCES[variant]()).run(macro)
+    assert_ops_identical(expected, table.to_circuit())
 
 
 def test_unknown_lowering_engine_rejected():

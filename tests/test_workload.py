@@ -9,7 +9,6 @@ import pytest
 from repro.__main__ import main
 from repro.exceptions import WorkloadError
 from repro.exec import (
-    CompileCache,
     WorkloadRequest,
     WorkloadSpec,
     plan_workload,
@@ -211,21 +210,6 @@ def test_planner_resolves_auto_to_the_dispatched_strategy():
     # "auto" and its resolved winner share one compile (and one cache key).
     assert len(plan.compiles) == 1 and plan.dedup_savings == 1
     assert plan.request_keys[0] == plan.request_keys[1]
-
-
-def test_lower_cache_rejects_macro_stage_key(tmp_path):
-    import pytest as _pytest
-
-    from repro import lower_to_g_gates, synthesize_mct
-    from repro.exceptions import SynthesisError
-    from repro.exec import CompileCache, cache_key
-    from repro.synth import registry as _registry
-
-    cache = CompileCache(tmp_path)
-    _registry.synthesize("mct", 3, 4, cache=cache)  # stores the macro table
-    macro_key = cache_key("mct", 3, 4, stage="synth", salt=cache.salt)
-    with _pytest.raises(SynthesisError):
-        lower_to_g_gates(synthesize_mct(3, 4).circuit, cache=cache, cache_key=macro_key)
 
 
 # ----------------------------------------------------------------------
