@@ -20,6 +20,17 @@ amplitudes:
   batched ``GateTable.apply_to_indices`` call over all sampled basis
   states vs the pre-PR-8 per-state scalar ``apply_to_basis`` walk.
   Floor: 10x.
+* **sparse_batch_speedup** — a mixed circuit (``unitary`` d=4 k=2: dense
+  payload rows between permutation segments) evolved on 128 basis-state
+  columns by ONE batched sparse ``apply_table`` call vs 128 single-column
+  calls.  The batch is one sparse state of ``(column, index, amplitude)``
+  triples, so every segment costs one kernel call for all columns (and one
+  densification for the whole batch).  Floor: 10x.
+* **verify_exhaustive_speedup** — the exhaustive tier on ``mct-odd`` d=3
+  k=9 (59,049 basis states) with the array-valued ``mct_spec`` vs an
+  equivalent plain-lambda spec, which the verifier evaluates row by row.
+  Both sides are timed warm (the composed gather is interned first), so
+  the ratio isolates the spec comparison.  Floor: 2x.
 * **index_propagation_speedup** / **index_first_call_speedup** — index
   propagation of B=64 indices through a lowered mct (d=3, k=6 quick; k=12
   full): ``GateTable.apply_to_indices`` (the cached window plan) vs the
@@ -59,16 +70,20 @@ from _harness import emit_json, emit_table, peak_rss_bytes
 
 from repro import lower_to_g_gates, synthesize_mct
 from repro.bench import render_table
+from repro.exec import compile_lowered
 from repro.ir.index_plan import reference_apply_to_indices
 from repro.qudit.circuit import QuditCircuit
 from repro.sim import SparseState, get_backend
 from repro.sim.permutation import apply_to_basis
-from repro.sim.verify import sample_basis_states
+from repro.sim.verify import assert_implements_permutation, mct_spec, sample_basis_states
+from repro.synth import synthesize
 from repro.utils.indexing import indices_to_digits
 
 SPARSE_WALL_FLOOR = 10.0
 RSS_RATIO_FLOOR = 10.0
 VERIFY_FLOOR = 10.0
+BATCH_FLOOR = 10.0
+EXHAUSTIVE_FLOOR = 2.0
 INDEX_WARM_FLOOR = 20.0
 INDEX_COLD_FLOOR = 1.5
 
@@ -301,6 +316,87 @@ def measure_verify(case: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
+# Batched sparse evolution: one B-column call vs B single-column calls
+# ----------------------------------------------------------------------
+def batch_case() -> dict:
+    return {"strategy": "unitary", "dim": 4, "k": 2, "batch": 128, "repeats": 3, "seed": 3}
+
+
+def measure_sparse_batch(case: dict) -> dict:
+    circuit = compile_lowered(case["strategy"], case["dim"], case["k"]).circuit
+    table = circuit.to_table()
+    size = case["dim"] ** circuit.num_wires
+    rng = np.random.default_rng(case["seed"])
+    data = np.zeros((size, case["batch"]), dtype=complex)
+    data[rng.integers(0, size, size=case["batch"]), np.arange(case["batch"])] = 1.0
+    engine = get_backend("sparse")
+
+    def batched():
+        return engine.apply_table(data.copy(), table)
+
+    def looped():
+        return np.stack(
+            [engine.apply_table(data[:, b].copy(), table) for b in range(case["batch"])],
+            axis=1,
+        )
+
+    def best(fn):
+        return min(timed(fn)[1] for _ in range(case["repeats"]))
+
+    reference = get_backend("dense").apply_table(data.copy(), table)
+    batched_out, looped_out = batched(), looped()  # warm the plans and gathers
+    if not (np.allclose(batched_out, reference) and np.allclose(looped_out, reference)):
+        raise SystemExit("FAIL: sparse batch results disagree with the dense engine")
+    batched_seconds, looped_seconds = best(batched), best(looped)
+    return {
+        **case,
+        "num_wires": circuit.num_wires,
+        "rows": len(table),
+        "batched_seconds": batched_seconds,
+        "looped_seconds": looped_seconds,
+        "sparse_batch_speedup": looped_seconds / batched_seconds,
+    }
+
+
+# ----------------------------------------------------------------------
+# Exhaustive verify: array-valued spec vs an equivalent scalar lambda
+# ----------------------------------------------------------------------
+def exhaustive_case() -> dict:
+    return {"strategy": "mct-odd", "dim": 3, "k": 9, "repeats": 3}
+
+
+def measure_verify_exhaustive(case: dict) -> dict:
+    result = synthesize(case["strategy"], case["dim"], case["k"])
+    circuit, controls, target = result.circuit, result.controls, result.target
+    array_spec = mct_spec(controls, target, case["dim"])
+
+    def scalar_spec(state):
+        out = list(state)
+        if all(state[c] == 0 for c in controls):
+            out[target] = {0: 1, 1: 0}.get(out[target], out[target])
+        return tuple(out)
+
+    def best(spec):
+        return min(
+            timed(lambda: assert_implements_permutation(circuit, spec))[1]
+            for _ in range(case["repeats"])
+        )
+
+    reports = [assert_implements_permutation(circuit, s) for s in (array_spec, scalar_spec)]
+    if any(r.decided_by != "dense" or r.states_checked != case["dim"] ** circuit.num_wires
+           for r in reports):
+        raise SystemExit("FAIL: the exhaustive tier did not decide every basis state")
+    array_seconds, scalar_seconds = best(array_spec), best(scalar_spec)
+    return {
+        **case,
+        "basis_states": case["dim"] ** circuit.num_wires,
+        "array_seconds": array_seconds,
+        "scalar_seconds": scalar_seconds,
+        "verify_exhaustive_speedup": scalar_seconds / array_seconds,
+    }
+
+
+# ----------------------------------------------------------------------
 # Index propagation: window plan vs the per-row reference walk
 # ----------------------------------------------------------------------
 def index_case(quick: bool) -> dict:
@@ -355,6 +451,8 @@ def main() -> int:
     memory = measure_memory(sparse_case(args.quick))
     verify = measure_verify(verify_case(args.quick))
     index = measure_index(index_case(args.quick))
+    batch = measure_sparse_batch(batch_case())
+    exhaustive = measure_verify_exhaustive(exhaustive_case())
 
     rows = [
         {
@@ -394,13 +492,31 @@ def main() -> int:
             "seconds": round(index["cold_seconds"], 6),
             "reference_seconds": round(index["reference_cold_seconds"], 6),
         },
+        {
+            "measurement": (
+                f"sparse {batch['strategy']} d={batch['dim']} k={batch['k']}: one "
+                f"{batch['batch']}-column call vs {batch['batch']} single-column calls"
+            ),
+            "seconds": round(batch["batched_seconds"], 6),
+            "reference_seconds": round(batch["looped_seconds"], 6),
+        },
+        {
+            "measurement": (
+                f"exhaustive verify {exhaustive['strategy']} d={exhaustive['dim']} "
+                f"k={exhaustive['k']}: mct_spec vs plain lambda"
+            ),
+            "seconds": round(exhaustive["array_seconds"], 6),
+            "reference_seconds": round(exhaustive["scalar_seconds"], 6),
+        },
     ]
     title = (
         f"Sparse simulation: wall {wall['sparse_wall_speedup']:.0f}x, "
         f"dense/sparse RSS {memory['dense_over_sparse_rss']:.0f}x, "
         f"verify batch {verify['verify_sampled_speedup']:.1f}x, "
         f"index propagation {index['index_propagation_speedup']:.0f}x warm / "
-        f"{index['index_first_call_speedup']:.1f}x cold"
+        f"{index['index_first_call_speedup']:.1f}x cold, "
+        f"sparse batch {batch['sparse_batch_speedup']:.0f}x, "
+        f"exhaustive verify {exhaustive['verify_exhaustive_speedup']:.1f}x"
     )
     stem = "sparse_sim_quick" if args.quick else "sparse_sim"
     emit_table(stem, render_table(rows, title=title))
@@ -411,17 +527,23 @@ def main() -> int:
             "memory": memory,
             "verify": verify,
             "index": index,
+            "batch": batch,
+            "exhaustive": exhaustive,
             "sparse_wall_speedup": wall["sparse_wall_speedup"],
             "dense_over_sparse_rss": memory["dense_over_sparse_rss"],
             "verify_sampled_speedup": verify["verify_sampled_speedup"],
             "index_propagation_speedup": index["index_propagation_speedup"],
             "index_first_call_speedup": index["index_first_call_speedup"],
+            "sparse_batch_speedup": batch["sparse_batch_speedup"],
+            "verify_exhaustive_speedup": exhaustive["verify_exhaustive_speedup"],
             "floors": {
                 "sparse_wall_speedup": SPARSE_WALL_FLOOR,
                 "dense_over_sparse_rss": RSS_RATIO_FLOOR,
                 "verify_sampled_speedup": VERIFY_FLOOR,
                 "index_propagation_speedup": INDEX_WARM_FLOOR,
                 "index_first_call_speedup": INDEX_COLD_FLOOR,
+                "sparse_batch_speedup": BATCH_FLOOR,
+                "verify_exhaustive_speedup": EXHAUSTIVE_FLOOR,
             },
         },
     )
@@ -439,12 +561,14 @@ def main() -> int:
         failures.append(
             f"verify sampled speedup {verify['verify_sampled_speedup']:.1f}x < {VERIFY_FLOOR}x"
         )
-    for metric, floor in (
-        ("index_propagation_speedup", INDEX_WARM_FLOOR),
-        ("index_first_call_speedup", INDEX_COLD_FLOOR),
+    for result, metric, floor in (
+        (index, "index_propagation_speedup", INDEX_WARM_FLOOR),
+        (index, "index_first_call_speedup", INDEX_COLD_FLOOR),
+        (batch, "sparse_batch_speedup", BATCH_FLOOR),
+        (exhaustive, "verify_exhaustive_speedup", EXHAUSTIVE_FLOOR),
     ):
-        if index[metric] < floor:
-            failures.append(f"{metric} {index[metric]:.1f}x < {floor}x")
+        if result[metric] < floor:
+            failures.append(f"{metric} {result[metric]:.1f}x < {floor}x")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

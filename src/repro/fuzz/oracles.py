@@ -382,8 +382,9 @@ def check_backends_sparse(
     the low-occupancy instance profile — so the index-gather and
     bounded-expansion path actually runs, and additionally pushes the same
     input through the :class:`~repro.sim.sparse.SparseState`-native entry
-    point, asserting its sorted-unique index invariant on the way out.
-    Permutation circuits must match **bit-for-bit** (indices propagate by
+    point, asserting its sorted-unique index invariant on the way out, and
+    a 3-column batch through the batched entry points (one column past the
+    occupancy threshold).  Permutation circuits must match **bit-for-bit** (indices propagate by
     exact integer arithmetic; amplitudes are only carried).
     """
     if "sparse" not in available_backends():  # pragma: no cover - always registered
@@ -425,6 +426,10 @@ def check_backends_sparse(
         deviation = float(np.max(np.abs(evolved - reference)))
         return f"sparse apply_table deviates from dense by {deviation:.3e}"
 
+    message = _check_sparse_batch(circuit, table, data, int(indices[0]))
+    if message is not None:
+        return message
+
     state = SparseState(num_wires, dim, indices, amplitudes)
     out = engine.apply_table_sparse(state, table)
     if out.nnz:
@@ -439,6 +444,48 @@ def check_backends_sparse(
     elif not np.allclose(dense_of_sparse, reference, atol=1e-9):
         deviation = float(np.max(np.abs(dense_of_sparse - reference)))
         return f"SparseState-native path deviates from dense by {deviation:.3e}"
+    return None
+
+
+def _check_sparse_batch(
+    circuit: QuditCircuit, table, data: np.ndarray, index: int
+) -> Optional[str]:
+    """A 3-column batch through sparse ``apply_table`` and ``apply_table_batch``.
+
+    Columns: the low-occupancy superposition ``data``, the basis state
+    ``index``, and every other basis state (past ``max_occupancy`` on its
+    own, while the batch as a whole stays under it).  Each column must
+    match the dense engine run on that column alone — bit-for-bit on a
+    permutation circuit.
+    """
+    size = data.size
+    wide = np.zeros(size, dtype=complex)
+    wide[::2] = np.exp(1j * np.arange(wide[::2].size))
+    wide /= np.linalg.norm(wide)
+    batch = np.zeros((size, 3), dtype=complex)
+    batch[:, 0] = data
+    batch[index, 1] = 1j
+    batch[:, 2] = wide
+    dense = get_backend("dense")
+    reference = np.stack(
+        [dense.apply_table(batch[:, b].copy(), table) for b in range(3)], axis=1
+    )
+    engine = get_backend("sparse")
+    for entry in ("apply_table", "apply_table_batch"):
+        evolved = np.asarray(getattr(engine, entry)(batch.copy(), table))
+        for b in range(3):
+            if circuit.is_permutation:
+                if not np.array_equal(evolved[:, b], reference[:, b]):
+                    return (
+                        f"sparse {entry} column {b} of a 3-column batch differs from "
+                        "dense on a permutation circuit (must be bit-for-bit)"
+                    )
+            elif not np.allclose(evolved[:, b], reference[:, b], atol=1e-9):
+                deviation = float(np.max(np.abs(evolved[:, b] - reference[:, b])))
+                return (
+                    f"sparse {entry} column {b} of a 3-column batch deviates from "
+                    f"dense by {deviation:.3e}"
+                )
     return None
 
 

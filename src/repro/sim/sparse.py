@@ -16,8 +16,8 @@ amplitudes) and evolves it with the O(batch) index kernel of
   regardless of register size (``d^n >= 10^9`` works);
 * a controlled-unitary row expands only the matched indices (predicate
   evaluated on decoded digits) into ``<= d`` successors each, then merges
-  duplicates by key (``np.unique`` + ``np.add.at``) and prunes amplitudes
-  below ``eps``;
+  duplicates (one sort + ``np.add.reduceat``) and prunes amplitudes below
+  ``eps``;
 * a configurable occupancy threshold (``SparseBackend(max_occupancy=,
   densify_to='dense')``) densifies transparently — on entry for dense
   inputs that are already too full, or mid-run when unitary expansion
@@ -25,6 +25,9 @@ amplitudes) and evolves it with the O(batch) index kernel of
   circuit the dense engine does and merely stops being asymptotically
   cheaper when the state stops being sparse.
 
+A ``(d^n, B)`` batch is one sparse state keyed by ``column · d^n + index``,
+so every segment is one kernel call for all ``B`` columns, and the
+threshold, the densification and the counters apply to the whole batch.
 Application counters (segments gathered, rows expanded, densify crossovers,
 whole-run dense fallbacks, pruned amplitudes) are exposed
 ``cache_stats()``-style for tests and benchmarks.
@@ -43,7 +46,12 @@ import numpy as np
 from repro.exceptions import GateError, WireError
 from repro.ir.table import GateTable
 from repro.qudit.circuit import QuditCircuit
-from repro.sim.backend import SimulationBackend, get_backend, register_backend
+from repro.sim.backend import (
+    SimulationBackend,
+    available_backends,
+    get_backend,
+    register_backend,
+)
 from repro.utils.indexing import digits_to_index, indices_to_digits
 
 #: Largest dense register ``to_dense`` / transparent densification will
@@ -51,6 +59,18 @@ from repro.utils.indexing import digits_to_index, indices_to_digits
 #: sparse representation is the only one that exists, so crossing the
 #: occupancy threshold raises instead of thrashing the machine.
 MATERIALIZE_LIMIT = 1 << 27
+
+
+def _require_materializable(dim: int, num_wires: int) -> int:
+    """``d^n``, or raise when the register is past :data:`MATERIALIZE_LIMIT`."""
+    size = dim**num_wires
+    if size > MATERIALIZE_LIMIT:
+        raise GateError(
+            f"register of {size} basis states ({num_wires} wires of "
+            f"dimension {dim}) is too large to materialise densely "
+            f"(limit {MATERIALIZE_LIMIT} amplitudes); keep it sparse"
+        )
+    return size
 
 
 class SparseState:
@@ -161,13 +181,7 @@ class SparseState:
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full ``(d^n,)`` complex statevector."""
-        if self.size > MATERIALIZE_LIMIT:
-            raise GateError(
-                f"register of {self.size} basis states ({self.num_wires} wires of "
-                f"dimension {self.dim}) is too large to materialise densely "
-                f"(limit {MATERIALIZE_LIMIT} amplitudes); keep it sparse"
-            )
-        data = np.zeros(self.size, dtype=complex)
+        data = np.zeros(_require_materializable(self.dim, self.num_wires), dtype=complex)
         data[self.indices] = self.amplitudes
         return data
 
@@ -191,6 +205,14 @@ class SparseBackend(SimulationBackend):
     :meth:`apply_table_sparse` / :meth:`apply_circuit_sparse` and stay
     sparse end-to-end, which is the only way to touch registers beyond the
     dense limit.
+
+    A ``(basis, B)`` input evolves as ONE sparse state: sorted-unique
+    ``int64`` keys ``column · d^n + index`` (the flat position of each
+    amplitude in the column-major batch) with their amplitudes, so each
+    segment costs one kernel call for the whole batch, about 24 bytes per
+    nonzero.  A 1-D input or a :class:`SparseState` is a batch of one, whose
+    keys are the indices themselves.  The occupancy threshold, the
+    densification and every counter apply to the whole batch.
     """
 
     name = "sparse"
@@ -205,6 +227,12 @@ class SparseBackend(SimulationBackend):
         if not 0.0 < max_occupancy <= 1.0:
             raise GateError(
                 f"max_occupancy must be in (0, 1], got {max_occupancy}"
+            )
+        usable = _densify_engines()
+        if densify_to not in usable:
+            raise GateError(
+                f"densify_to={densify_to!r} is not a dense simulation engine; "
+                f"usable: {usable}"
             )
         self.max_occupancy = max_occupancy
         self.densify_to = densify_to
@@ -240,10 +268,15 @@ class SparseBackend(SimulationBackend):
         register must then fit :data:`MATERIALIZE_LIMIT`) and the result is
         re-compressed on exit so the return type is stable.
         """
-        result = self._run(state, table)
-        if isinstance(result, SparseState):
-            return result
-        return SparseState.from_dense(result, table.dim, table.num_wires, eps=self.eps)
+        result = self._run(state.indices, state.amplitudes, 1, table)
+        if isinstance(result, np.ndarray):
+            return SparseState.from_dense(
+                result[:, 0], table.dim, table.num_wires, eps=self.eps
+            )
+        indices, amplitudes = result
+        return SparseState(
+            table.num_wires, table.dim, indices, amplitudes, copy=False, validate=False
+        )
 
     def apply_circuit_sparse(self, state: SparseState, circuit: QuditCircuit) -> SparseState:
         return self.apply_table_sparse(state, self._table_of(circuit))
@@ -255,52 +288,24 @@ class SparseBackend(SimulationBackend):
         if isinstance(data, SparseState):
             return self.apply_table_sparse(data, table)
         data = np.asarray(data, dtype=complex)
-        if data.ndim > 1:
-            flat = data.reshape(data.shape[0], -1)
-            columns = [
-                self.apply_table(np.ascontiguousarray(flat[:, b]), table)
-                for b in range(flat.shape[1])
-            ]
-            return np.stack(columns, axis=1).reshape(data.shape)
-        size = table.dim**table.num_wires
-        nnz = int(np.count_nonzero(np.abs(data) > self.eps))
-        if nnz > self.max_occupancy * size:
+        flat = data.reshape(data.shape[0], -1)
+        size, batch = flat.shape
+        # Keys of the transposed batch come out sorted: column · d^n + index.
+        keys = np.flatnonzero(np.abs(flat.T) > self.eps)
+        if keys.size > self.max_occupancy * size * batch:
             self._stats["dense_fallbacks"] += 1
             return get_backend(self.densify_to).apply_table(data, table)
-        state = SparseState.from_dense(data, table.dim, table.num_wires, eps=self.eps)
-        result = self._run(state, table)
-        if isinstance(result, SparseState):
-            return result.to_dense()
-        return result
+        result = self._run(keys, flat[keys % size, keys // size], batch, table)
+        if isinstance(result, tuple):
+            result = _scatter(*result, table, batch)
+        return result.reshape(data.shape)
 
     def apply_circuit(self, data, circuit: QuditCircuit):
         return self.apply_table(data, self._table_of(circuit))
 
     def apply_op(self, data, op, dim, num_wires):
-        """Single-op path (``Statevector.apply_op``): one-row sparse pass."""
-        data = np.asarray(data, dtype=complex)
-        if data.ndim > 1:
-            flat = data.reshape(data.shape[0], -1)
-            columns = [
-                self.apply_op(np.ascontiguousarray(flat[:, b]), op, dim, num_wires)
-                for b in range(flat.shape[1])
-            ]
-            return np.stack(columns, axis=1).reshape(data.shape)
-        size = dim**num_wires
-        nnz = int(np.count_nonzero(np.abs(data) > self.eps))
-        if nnz > self.max_occupancy * size:
-            self._stats["dense_fallbacks"] += 1
-            return get_backend(self.densify_to).apply_op(data, op, dim, num_wires)
-        state = SparseState.from_dense(data, dim, num_wires, eps=self.eps)
-        if op.is_permutation:
-            table = GateTable.from_ops([op], num_wires, dim, name="op")
-            state = self._map_permutation_rows(state, table.index_plan())
-            self._stats["perm_segments"] += 1
-        else:
-            state = self._expand_unitary_row(state, op)
-        if state.nnz > self.max_occupancy * size:
-            return self._densify(state)
-        return state.to_dense()
+        """Single-op path (``Statevector.apply_op``): a one-row table."""
+        return self.apply_table(data, GateTable.from_ops([op], num_wires, dim, name="op"))
 
     # ------------------------------------------------------------------
     # Core sparse evolution
@@ -309,103 +314,121 @@ class SparseBackend(SimulationBackend):
         table = getattr(circuit, "cached_table", None)
         return table if table is not None else circuit.to_table()
 
-    def _run(self, state: SparseState, table):
-        """Evolve segment by segment; returns SparseState or a dense array.
+    def _run(self, keys, amplitudes, batch: int, table):
+        """Evolve a batch segment by segment.
 
-        Once densified (occupancy crossover), the remaining segments run on
-        the dense array through the ``densify_to`` engine's kernels — the
-        engine is total, it just stops being sparse.
+        The batch is the pair ``(keys, amplitudes)``: sorted-unique keys
+        ``column · span + index``, where ``span`` is ``d^n`` for a batch of
+        several columns (which came from a dense array, so every key fits
+        ``int64``) and 0 for a batch of one (keys are the indices, whatever
+        the register size).  Returns the evolved pair, or a dense
+        ``(d^n, batch)`` array once the whole batch crossed the occupancy
+        threshold — the remaining segments then run on the ``densify_to``
+        engine's kernels (the engine is total, it just stops being sparse).
         """
         from repro.ir.segment import segment_table
 
         self._stats["sparse_applies"] += 1
         dim, num_wires = table.dim, table.num_wires
         size = dim**num_wires
-        threshold = self.max_occupancy * size
-        data = state
+        span = size if batch > 1 else 0
+        threshold = self.max_occupancy * size * batch
+        engine = get_backend(self.densify_to)
+        data = (keys, amplitudes)
         for segment in segment_table(table):
-            if isinstance(data, SparseState):
+            if isinstance(data, tuple):
                 if segment.kind == "perm":
                     plan = table.index_plan(segment.start, segment.stop)
-                    data = self._map_permutation_rows(data, plan)
+                    data = _map_permutation_rows(*data, plan, span)
                     self._stats["perm_segments"] += 1
                 else:
-                    data = self._expand_unitary_row(data, segment.op())
-                    if data.nnz > threshold:
-                        data = self._densify(data)
+                    data = self._expand_unitary_row(*data, segment.op(), table, span)
+                    if data[0].size > threshold:
+                        self._stats["densifies"] += 1
+                        data = _scatter(*data, table, batch)
+            elif segment.kind == "perm":
+                gather = segment.index_table()
+                out = np.empty_like(data)
+                out[gather] = data
+                data = out
             else:
-                engine = get_backend(self.densify_to)
-                if segment.kind == "perm":
-                    gather = segment.index_table()
-                    out = np.empty_like(data)
-                    out[gather] = data
-                    data = out
-                else:
-                    data = engine._apply_unitary(data, segment.op(), dim, num_wires)
+                data = engine._apply_unitary(data, segment.op(), dim, num_wires)
         return data
 
-    def _map_permutation_rows(self, state: SparseState, plan) -> SparseState:
-        """One permutation segment: its window plan on the live indices only.
+    def _expand_unitary_row(self, keys, amplitudes, op, table, span):
+        """One controlled-unitary row: matched keys expand into ``d`` successors.
 
-        Amplitudes are carried, never recomputed — the permutation path is
-        bit-for-bit identical to the dense engine.  One sort at segment end
-        restores the sorted-unique invariant (a permutation cannot create
-        duplicates).
+        A successor differs from its source in the target digit only, so it
+        stays in the source's column.  Duplicates are merged by one stable
+        sort and one ``np.add.reduceat`` (each sum runs in the order the
+        terms were produced), then amplitudes at or below ``eps`` are pruned.
         """
-        indices = state.indices.copy()
-        plan.apply(indices)
-        order = np.argsort(indices, kind="stable")
-        return SparseState(
-            state.num_wires,
-            state.dim,
-            indices[order],
-            state.amplitudes[order],
-            copy=False,
-            validate=False,
-        )
-
-    def _expand_unitary_row(self, state: SparseState, op) -> SparseState:
-        """One controlled-unitary row: expand matched indices into <= d successors."""
-        dim, num_wires = state.dim, state.num_wires
-        indices, amplitudes = state.indices, state.amplitudes
+        dim, num_wires = table.dim, table.num_wires
+        indices = keys % span if span else keys
         if op.controls:
             fired = op.controls_fire_flat(indices, dim, num_wires)
         else:
             fired = np.ones(indices.shape, dtype=bool)
-        keep_idx = indices[~fired]
-        keep_amp = amplitudes[~fired]
-        hit_idx = indices[fired]
-        hit_amp = amplitudes[fired]
-        if hit_idx.size:
-            stride = dim ** (num_wires - 1 - op.target)
-            tdig = (hit_idx // stride) % dim
-            base = hit_idx - tdig * stride
-            matrix = np.asarray(op.gate.matrix(), dtype=complex)
-            successors = base[:, None] + np.arange(dim, dtype=np.int64) * stride
-            successor_amps = matrix[:, tdig].T * hit_amp[:, None]
-            all_idx = np.concatenate([keep_idx, successors.reshape(-1)])
-            all_amp = np.concatenate([keep_amp, successor_amps.reshape(-1)])
-        else:
-            all_idx, all_amp = keep_idx, keep_amp
-        unique, inverse = np.unique(all_idx, return_inverse=True)
-        merged = np.zeros(unique.size, dtype=complex)
-        np.add.at(merged, inverse, all_amp)
-        live = np.abs(merged) > self.eps
+        stride = dim ** (num_wires - 1 - op.target)
+        tdig = (indices[fired] // stride) % dim
+        base = keys[fired] - tdig * stride
+        matrix = np.asarray(op.gate.matrix(), dtype=complex)
+        successors = base[:, None] + np.arange(dim, dtype=np.int64) * stride
+        successor_amps = matrix[:, tdig].T * amplitudes[fired][:, None]
+        keep = ~fired
+        keys = np.concatenate([keys[keep], successors.reshape(-1)])
+        amplitudes = np.concatenate([amplitudes[keep], successor_amps.reshape(-1)])
         self._stats["unitary_expands"] += 1
-        self._stats["pruned"] += int(unique.size - np.count_nonzero(live))
-        return SparseState(
-            num_wires, dim, unique[live], merged[live], copy=False, validate=False
-        )
-
-    def _densify(self, state: SparseState) -> np.ndarray:
-        self._stats["densifies"] += 1
-        return state.to_dense()
+        if not keys.size:
+            return keys, amplitudes
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        merged = np.add.reduceat(amplitudes[order], np.flatnonzero(first))
+        live = np.abs(merged) > self.eps
+        self._stats["pruned"] += int(merged.size - np.count_nonzero(live))
+        return keys[first][live], merged[live]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SparseBackend max_occupancy={self.max_occupancy} "
             f"densify_to={self.densify_to!r}>"
         )
+
+
+def _densify_engines():
+    """Registered engines with a dense unitary kernel to densify onto."""
+    return tuple(
+        name
+        for name in available_backends()
+        if type(get_backend(name))._apply_unitary is not SimulationBackend._apply_unitary
+    )
+
+
+def _map_permutation_rows(keys, amplitudes, plan, span):
+    """One permutation segment: its window plan on every live index at once.
+
+    Amplitudes are carried, never recomputed — the permutation path is
+    bit-for-bit identical to the dense engine.  One sort at segment end
+    restores the key order (a permutation cannot create duplicates within a
+    column).
+    """
+    indices = keys % span if span else keys
+    moved = indices.copy()
+    plan.apply(moved)
+    keys = keys + (moved - indices)
+    order = np.argsort(keys)
+    return keys[order], amplitudes[order]
+
+
+def _scatter(keys, amplitudes, table, batch: int) -> np.ndarray:
+    """The batch as a dense ``(d^n, batch)`` array."""
+    size = _require_materializable(table.dim, table.num_wires)
+    data = np.zeros((batch, size), dtype=complex)
+    data.reshape(-1)[keys] = amplitudes
+    return np.ascontiguousarray(data.T)
 
 
 register_backend(SparseBackend())

@@ -44,6 +44,7 @@ from repro.verify import (
 from repro.verify.checks import (
     BasisState,
     Spec,
+    function_spec,
     mc_shift_spec,
     mct_spec,
     sample_basis_states,
@@ -239,19 +240,7 @@ def assert_permutation_equals_function(
     Used for reversible-function synthesis (Theorem IV.2), where the function
     acts on the ``n`` data wires and any extra wire is a borrowed ancilla.
     """
-    from repro.exceptions import VerificationError
-
-    wires = tuple(wires)
-
-    def spec(state: BasisState) -> BasisState:
-        output = list(state)
-        image = tuple(function(tuple(state[w] for w in wires)))
-        if len(image) != len(wires):
-            raise VerificationError("reference function returned wrong arity")
-        for wire, digit in zip(wires, image):
-            output[wire] = digit
-        return tuple(output)
-
+    spec = function_spec(function, wires)
     return assert_implements_permutation(
         circuit,
         spec,

@@ -22,10 +22,14 @@ import numpy as np
 from repro.exceptions import VerificationError
 from repro.utils import indexing
 from repro.utils.indexing import INT64_MAX  # noqa: F401 - re-exported for callers
-from repro.utils.indexing import digit_matrix, indices_to_digits
+from repro.utils.indexing import indices_to_digits
 
 BasisState = Tuple[int, ...]
 Spec = Callable[[BasisState], Sequence[int]]
+
+#: Basis states per block of the exhaustive check: its digit matrices stay a
+#: few MB whatever the basis size the budget admits.
+EXHAUSTIVE_CHUNK = 1 << 16
 
 
 def basis_size(dim: int, num_wires: int) -> int:
@@ -44,15 +48,15 @@ def require_int64_basis(dim: int, num_wires: int, context: str) -> int:
     return indexing.require_int64_basis(dim, num_wires, context, VerificationError)
 
 
-def sample_basis_states(
+def sample_basis_matrix(
     dim: int,
     num_wires: int,
     samples: int,
     seed: int,
     *,
     clean_wires: Sequence[int] = (),
-) -> List[BasisState]:
-    """Deterministic sample of basis states, shared by every sampled check.
+) -> np.ndarray:
+    """Deterministic ``(samples, num_wires)`` digit matrix of basis states.
 
     One seeded :class:`numpy.random.Generator` drives the sampled fallbacks
     of the ``assert_*`` helpers, the test-suite samplers in ``conftest`` and
@@ -67,26 +71,41 @@ def sample_basis_states(
     clean = [w for w in clean_wires]
     if clean:
         states[:, clean] = 0
-    return [tuple(int(digit) for digit in row) for row in states]
+    return states
 
 
-def propagate_samples(circuit, states: Sequence[BasisState]) -> List[List[int]]:
+def sample_basis_states(
+    dim: int,
+    num_wires: int,
+    samples: int,
+    seed: int,
+    *,
+    clean_wires: Sequence[int] = (),
+) -> List[BasisState]:
+    """The rows of :func:`sample_basis_matrix` as digit tuples."""
+    states = sample_basis_matrix(dim, num_wires, samples, seed, clean_wires=clean_wires)
+    return [tuple(row) for row in states.tolist()]
+
+
+def propagate_samples(circuit, states) -> np.ndarray:
     """Images of sampled basis states, all propagated in ONE batched pass.
 
-    Encodes the digit rows to flat indices, pushes them through
+    ``states`` is an ``(N, n)`` digit matrix (or a sequence of digit
+    tuples); the rows are encoded to flat indices, pushed through
     :meth:`repro.ir.table.GateTable.apply_to_indices` (the table's window
-    plan on just the batch — no ``d^n`` table), and decodes back.
-    Row order is preserved, so callers can recover the failing sample index.
+    plan on just the batch — no ``d^n`` table), and decoded back into an
+    ``(N, n)`` matrix.  Row order is preserved, so callers can recover the
+    failing sample index.
     """
-    if not states:
-        return []
+    states = np.asarray(states, dtype=np.int64).reshape(-1, circuit.num_wires)
+    if not len(states):
+        return states.copy()
     require_int64_basis(circuit.dim, circuit.num_wires, "sampled index propagation")
     strides = np.array(
         [circuit.dim**e for e in range(circuit.num_wires - 1, -1, -1)], dtype=np.int64
     )
-    indices = np.asarray(states, dtype=np.int64) @ strides
-    images = circuit.to_table().apply_to_indices(indices)
-    return indices_to_digits(images, circuit.dim, circuit.num_wires).tolist()
+    images = circuit.to_table().apply_to_indices(states @ strides)
+    return indices_to_digits(images, circuit.dim, circuit.num_wires)
 
 
 def sample_recipe(
@@ -246,25 +265,30 @@ def structural_check(circuit) -> Dict[str, int]:
 
 
 def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int:
-    """Whole-basis gather-table check of ``circuit`` against ``spec``."""
+    """Whole-basis gather-table check of ``circuit`` against ``spec``.
+
+    The basis is compared in blocks of :data:`EXHAUSTIVE_CHUNK` states: each
+    block's source and image digit matrices are decoded from the composed
+    gather table and compared with the spec's images in one array compare,
+    so working memory stays bounded whatever the basis size.
+    """
     from repro.sim.permutation import permutation_index_table
 
-    clean = tuple(clean_wires)
+    clean = list(clean_wires)
+    dim, num_wires = circuit.dim, circuit.num_wires
     table = permutation_index_table(circuit)
-    sources = digit_matrix(circuit.dim, circuit.num_wires).tolist()
-    images = indices_to_digits(table, circuit.dim, circuit.num_wires).tolist()
     checked = 0
-    for source, image in zip(sources, images):
-        state = tuple(source)
-        if any(state[w] != 0 for w in clean):
-            continue
-        checked += 1
-        expected = tuple(spec(state))
-        actual = tuple(image)
-        if actual != expected:
-            raise VerificationError(
-                f"circuit {circuit.name!r} maps {state} to {actual}, expected {expected}"
-            )
+    for start in range(0, table.size, EXHAUSTIVE_CHUNK):
+        stop = min(start + EXHAUSTIVE_CHUNK, table.size)
+        sources = indices_to_digits(np.arange(start, stop), dim, num_wires)
+        images = indices_to_digits(table[start:stop], dim, num_wires)
+        if clean:
+            contract = ~sources[:, clean].any(axis=1)
+            sources, images = sources[contract], images[contract]
+        checked += len(sources)
+        row = first_mismatch(spec, sources, images)
+        if row is not None:
+            raise VerificationError(mismatch_message(circuit, spec, sources[row], images[row]))
     return checked
 
 
@@ -278,25 +302,41 @@ def spec_sampled(
     """Sampled batched index-propagation check of ``circuit`` vs ``spec``.
 
     All samples propagate through ONE batched index pass (O(rows · samples)
-    stride arithmetic, no ``d^n`` table and no per-state Python loop), so the
-    sampled branch works on registers far beyond any statevector; only the
-    spec callback runs per state.  Returns ``(states_checked, replay)``.
+    stride arithmetic, no ``d^n`` table) and are compared with the spec's
+    images in one array compare, so the sampled branch works on registers
+    far beyond any statevector.  Returns ``(states_checked, replay)``.
     """
     clean = tuple(clean_wires)
-    states = sample_basis_states(
+    states = sample_basis_matrix(
         circuit.dim, circuit.num_wires, samples, seed, clean_wires=clean
     )
     images = propagate_samples(circuit, states)
     recipe = sample_recipe(circuit.dim, circuit.num_wires, samples, seed, clean)
-    for row, (state, image) in enumerate(zip(states, images)):
-        expected = tuple(spec(state))
-        actual = tuple(image)
-        if actual != expected:
-            raise VerificationError(
-                f"circuit {circuit.name!r} maps {state} to {actual}, expected {expected} "
-                f"(sampled check, seed={seed}, failing row {row}; rerun with {recipe}[{row}])"
-            )
+    row = first_mismatch(spec, states, images)
+    if row is not None:
+        raise VerificationError(
+            mismatch_message(circuit, spec, states[row], images[row])
+            + f" (sampled check, seed={seed}, failing row {row}; rerun with {recipe}[{row}])"
+        )
     return len(states), recipe
+
+
+def first_mismatch(spec: Spec, states: np.ndarray, images: np.ndarray) -> Optional[int]:
+    """Row of the first state whose image differs from the spec's, or None."""
+    if not len(states):
+        return None
+    bad = np.flatnonzero((spec_images(spec, states) != images).any(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+def mismatch_message(circuit, spec: Spec, state: np.ndarray, image: np.ndarray) -> str:
+    """The divergence message; the expected image comes from the scalar call."""
+    state = tuple(state.tolist())
+    expected = tuple(spec(state))
+    return (
+        f"circuit {circuit.name!r} maps {state} to {tuple(image.tolist())}, "
+        f"expected {expected}"
+    )
 
 
 def wires_preserved_exhaustive(circuit, wires: Sequence[int]) -> int:
@@ -321,11 +361,10 @@ def wires_preserved_sampled(
 ) -> Tuple[int, str]:
     """Sampled batched check that ``circuit`` restores the watched wires."""
     wires = tuple(wires)
-    states = sample_basis_states(circuit.dim, circuit.num_wires, samples, seed)
+    sources = sample_basis_matrix(circuit.dim, circuit.num_wires, samples, seed)
     # Batched like the permutation-spec kernel: one index pass for all
     # samples, then a vectorized compare of just the watched wires.
-    images = np.asarray(propagate_samples(circuit, states))
-    sources = np.asarray(states)
+    images = propagate_samples(circuit, sources)
     watched = list(wires)
     diff = images[:, watched] != sources[:, watched]
     bad_rows = np.nonzero(diff.any(axis=1))[0]
@@ -341,7 +380,7 @@ def wires_preserved_sampled(
             f"{row}; rerun with sample_basis_states({circuit.dim}, "
             f"{circuit.num_wires}, {samples}, {seed})[{row}])"
         )
-    return len(states), recipe
+    return len(sources), recipe
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +619,80 @@ def _check_digit_range(label: str, digits: Sequence[int], dim: int) -> None:
         )
 
 
+class PermutationSpec:
+    """A classical basis map, in array form.
+
+    ``images`` maps an ``(N, n)`` ``int64`` digit matrix of basis states to
+    the ``(N, n)`` matrix of their expected images.  It is the spec's one
+    implementation: calling the spec on a single digit tuple runs it on a
+    one-row matrix, so scalar callers keep working.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: Callable[[np.ndarray], np.ndarray]):
+        self.images = images
+
+    def __call__(self, state: BasisState) -> BasisState:
+        row = np.asarray(state, dtype=np.int64).reshape(1, -1)
+        return tuple(self.images(row)[0].tolist())
+
+
+def spec_images(spec: Spec, states: np.ndarray) -> np.ndarray:
+    """Expected images of the digit matrix ``states`` under ``spec``.
+
+    A :class:`PermutationSpec` runs its array form; any other callable (a
+    test lambda, say) goes through this row-by-row adapter.  A row of the
+    wrong length becomes ``-1`` digits, which match no image, so the
+    comparison reports that state and the message shows what the spec said.
+    """
+    if isinstance(spec, PermutationSpec):
+        return spec.images(states)
+    width = states.shape[1]
+    rows = [tuple(spec(state)) for state in map(tuple, states.tolist())]
+    return np.array([row if len(row) == width else (-1,) * width for row in rows])
+
+
+def function_spec(
+    function: Callable[[BasisState], Sequence[int]], wires: Sequence[int]
+) -> PermutationSpec:
+    """Spec applying ``function`` to the digits of ``wires``, identity elsewhere.
+
+    ``function`` receives and returns digit tuples of length ``len(wires)``;
+    it runs once per distinct data-wire tuple in the batch.
+    """
+    wires = list(wires)
+
+    def images(states: np.ndarray) -> np.ndarray:
+        out = states.copy()
+        if not len(states):
+            return out
+        data = states[:, wires]
+        order = np.lexsort(data.T[::-1])
+        ranked = data[order]
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        mapped = []
+        for digits in ranked[first].tolist():
+            image = tuple(function(tuple(digits)))
+            if len(image) != len(wires):
+                raise VerificationError("reference function returned wrong arity")
+            mapped.append(image)
+        group = np.empty(len(states), dtype=np.int64)
+        group[order] = np.cumsum(first) - 1
+        out[:, wires] = np.asarray(mapped, dtype=np.int64).reshape(-1, len(wires))[group]
+        return out
+
+    return PermutationSpec(images)
+
+
+def _fires(states: np.ndarray, controls: Sequence[int], values: Sequence[int]) -> np.ndarray:
+    """Rows of ``states`` whose control digits all equal their values."""
+    controls = np.asarray(controls, dtype=np.intp)
+    values = np.asarray(values, dtype=np.int64)
+    return (states[:, controls] == values).all(axis=1)
+
+
 def mct_spec(
     controls: Sequence[int],
     target: int,
@@ -587,12 +700,12 @@ def mct_spec(
     *,
     control_values: Optional[Sequence[int]] = None,
     swap: Tuple[int, int] = (0, 1),
-) -> Spec:
+) -> PermutationSpec:
     """Return the specification of a multi-controlled ``X_{ij}`` gate.
 
-    The returned function maps a basis state to the state with the target
-    digit swapped between ``swap[0]`` and ``swap[1]`` exactly when every
-    control digit matches its control value (default all zeros, the paper's
+    The returned spec maps a basis state to the state with the target digit
+    swapped between ``swap[0]`` and ``swap[1]`` exactly when every control
+    digit matches its control value (default all zeros, the paper's
     ``|0^k⟩-Xij``); every other wire, and in particular any ancilla wire, is
     left untouched.  Control values and swap digits are validated against
     ``dim`` — out-of-range digits would make the spec vacuous.
@@ -605,17 +718,17 @@ def mct_spec(
     _check_digit_range("swap digits", (i, j), dim)
     if i == j:
         raise VerificationError(f"swap digits must be distinct, got {tuple(swap)}")
+    controls = tuple(controls)
 
-    def spec(state: BasisState) -> BasisState:
-        output = list(state)
-        if all(state[c] == v for c, v in zip(controls, values)):
-            if output[target] == i:
-                output[target] = j
-            elif output[target] == j:
-                output[target] = i
-        return tuple(output)
+    def images(states: np.ndarray) -> np.ndarray:
+        out = states.copy()
+        digit = states[:, target]
+        fires = _fires(states, controls, values)
+        out[fires & (digit == i), target] = j
+        out[fires & (digit == j), target] = i
+        return out
 
-    return spec
+    return PermutationSpec(images)
 
 
 def mc_shift_spec(
@@ -625,17 +738,18 @@ def mc_shift_spec(
     shift: int = 1,
     *,
     control_values: Optional[Sequence[int]] = None,
-) -> Spec:
+) -> PermutationSpec:
     """Specification of the multi-controlled ``X+shift`` gate (``|0^k⟩-X+y``)."""
     values = tuple(control_values) if control_values is not None else (0,) * len(controls)
     if len(values) != len(controls):
         raise VerificationError("control_values length must match the number of controls")
     _check_digit_range("control values", values, dim)
+    controls = tuple(controls)
 
-    def spec(state: BasisState) -> BasisState:
-        output = list(state)
-        if all(state[c] == v for c, v in zip(controls, values)):
-            output[target] = (output[target] + shift) % dim
-        return tuple(output)
+    def images(states: np.ndarray) -> np.ndarray:
+        out = states.copy()
+        fires = _fires(states, controls, values)
+        out[fires, target] = (states[fires, target] + shift) % dim
+        return out
 
-    return spec
+    return PermutationSpec(images)

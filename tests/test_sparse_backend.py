@@ -26,6 +26,7 @@ import pytest
 
 from repro.exceptions import GateError, VerificationError, WireError
 from repro.ir.index_plan import reference_apply_to_indices
+from repro.ir.segment import segment_table
 from repro.ir.table import DEFAULT_INDEX_CHUNK, LOCAL_STATES_MAX
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Odd, Value
@@ -295,6 +296,111 @@ class TestOccupancyAndStats:
     def test_sparse_is_registered(self):
         assert "sparse" in available_backends()
         assert isinstance(get_backend("sparse"), SparseBackend)
+
+
+# ----------------------------------------------------------------------
+# Batches: one sparse state keyed by column · d^n + index
+# ----------------------------------------------------------------------
+def low_occupancy_batch(dim, num_wires, batch, seed):
+    """``(d^n, batch)`` data with at most three live amplitudes per column."""
+    size = dim**num_wires
+    data = np.zeros((size, batch), dtype=complex)
+    for b in range(batch):
+        indices, amplitudes = sparse_input(dim, num_wires, 1 + b % 3, seed=seed + b)
+        data[indices, b] = amplitudes
+    return data
+
+
+def dense_columns(data, table):
+    dense = get_backend("dense")
+    return np.stack(
+        [dense.apply_table(data[:, b].copy(), table) for b in range(data.shape[1])], axis=1
+    )
+
+
+class TestSparseBatches:
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    def test_permutation_batches_are_bit_for_bit(self, batch):
+        table = mixed_circuit(batch, num_wires=4, num_ops=25, unitary=False).to_table()
+        data = low_occupancy_batch(3, 4, batch, seed=batch)
+        engine = SparseBackend()
+        evolved = engine.apply_table_batch(data.copy(), table)
+        assert np.array_equal(evolved, dense_columns(data, table))
+        stats = engine.cache_stats()
+        # Counters count once per call, not once per column.
+        assert stats["sparse_applies"] == 1
+        assert stats["perm_segments"] == 1
+        assert stats["dense_fallbacks"] == 0
+
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    def test_mixed_batches_match_dense(self, batch):
+        table = mixed_circuit(100 + batch, num_wires=4, num_ops=25).to_table()
+        data = low_occupancy_batch(3, 4, batch, seed=batch)
+        engine = SparseBackend()
+        evolved = engine.apply_table(data.copy(), table)
+        assert np.allclose(evolved, dense_columns(data, table), atol=1e-12)
+        unitary_rows = sum(1 for s in segment_table(table) if s.kind == "unitary")
+        assert engine.cache_stats()["unitary_expands"] == unitary_rows
+
+    @pytest.mark.parametrize("batch", [2, 64])
+    def test_mid_run_densify_counts_once_per_batch(self, batch):
+        circuit = QuditCircuit(5, 2, name="spread")
+        for wire in range(5):
+            circuit.add_gate(SingleQuditUnitary(HADAMARD, label="H"), wire)
+        circuit.add_gate(XPlus(2, 1), 0)  # a permutation segment after the densify
+        table = circuit.to_table()
+        data = np.zeros((32, batch), dtype=complex)
+        data[np.arange(batch) % 32, np.arange(batch)] = 1.0
+        engine = SparseBackend(max_occupancy=0.25)
+        evolved = engine.apply_table_batch(data.copy(), table)
+        assert np.allclose(evolved, dense_columns(data, table), atol=1e-12)
+        stats = engine.cache_stats()
+        assert stats["densifies"] == 1
+        assert stats["dense_fallbacks"] == 0
+
+    def test_occupancy_threshold_applies_to_the_whole_batch(self):
+        table = mixed_circuit(3, num_wires=3, num_ops=10, unitary=False).to_table()
+        data = np.zeros((27, 4), dtype=complex)
+        data[::2, 0] = 1.0  # 14 of 27 amplitudes: past 0.25 on its own
+        data[[4, 5, 6], [1, 2, 3]] = 1.0
+        engine = SparseBackend()
+        # 17 live amplitudes <= 0.25 * 27 * 4: the batch stays sparse.
+        assert np.array_equal(engine.apply_table(data.copy(), table), dense_columns(data, table))
+        assert engine.cache_stats()["dense_fallbacks"] == 0
+        data[:, 1] = 1.0  # 43 > 27: now the batch itself is past the threshold
+        engine.reset_stats()
+        assert np.array_equal(engine.apply_table(data.copy(), table), dense_columns(data, table))
+        assert engine.cache_stats()["dense_fallbacks"] == 1
+
+    def test_one_dimensional_input_is_a_batch_of_one(self):
+        table = mixed_circuit(8, num_wires=3, num_ops=15).to_table()
+        data = low_occupancy_batch(3, 3, 1, seed=4)
+        engine = SparseBackend()
+        flat = engine.apply_table(data[:, 0].copy(), table)
+        assert flat.shape == (27,)
+        assert np.array_equal(flat, engine.apply_table(data.copy(), table)[:, 0])
+
+    def test_sparse_state_entry_point_is_unchanged(self):
+        table = mixed_circuit(6, num_wires=4, num_ops=20).to_table()
+        indices, amplitudes = sparse_input(3, 4, 5, seed=6)
+        state = SparseState(4, 3, indices, amplitudes)
+        engine = SparseBackend()
+        assert isinstance(engine.apply_table(state, table), SparseState)
+        out = engine.apply_table_sparse(state, table)
+        assert isinstance(out, SparseState)
+        assert out.num_wires == 4 and out.dim == 3
+        assert bool((np.diff(out.indices) > 0).all())
+        assert np.array_equal(state.indices, indices)  # the input is not mutated
+        expected = get_backend("dense").apply_table(dense_of(indices, amplitudes, 81), table)
+        assert np.allclose(out.to_dense(), expected, atol=1e-12)
+
+    def test_densify_to_is_validated_at_construction(self):
+        with pytest.raises(GateError, match="usable") as info:
+            SparseBackend(densify_to="sparse")
+        assert "dense" in str(info.value) and "streaming" in str(info.value)
+        with pytest.raises(GateError, match="'nope'"):
+            SparseBackend(densify_to="nope")
+        assert SparseBackend(densify_to="streaming").densify_to == "streaming"
 
 
 # ----------------------------------------------------------------------
@@ -663,6 +769,28 @@ class TestFuzzIntegration:
             unregister_backend("sparse")
             register_backend(real, name="sparse")
 
+
+    def test_check_backends_sparse_flags_a_divergent_batch_column(self):
+        from repro.fuzz import check_backends_sparse
+        from repro.sim import register_backend, unregister_backend
+
+        class LyingBatchBackend(SparseBackend):
+            def apply_table(self, data, table):
+                out = np.asarray(super().apply_table(data, table))
+                if out.ndim == 2:
+                    out = out.copy()
+                    out[:, 2] = out[::-1, 2]  # the wide column comes back reversed
+                return out
+
+        real = get_backend("sparse")
+        register_backend(LyingBatchBackend(), name="sparse")
+        try:
+            circuit = mixed_circuit(2, num_ops=6, unitary=False)
+            message = check_backends_sparse(circuit, [(0, 0, 0)])
+            assert message is not None and "column 2 of a 3-column batch" in message
+        finally:
+            unregister_backend("sparse")
+            register_backend(real, name="sparse")
 
 # ----------------------------------------------------------------------
 # CLI surface

@@ -366,3 +366,203 @@ class TestSmokeBudgetSweep:
         decided = sum(n for name, n in tier_hits.items() if name != "undecided")
         total = sum(tier_hits.values())
         assert total > 0 and decided / total >= 0.9
+
+
+# ----------------------------------------------------------------------
+# Array-valued specs: one implementation, scalar calls derived from it
+# ----------------------------------------------------------------------
+def reference_mct(state, controls, target, values, swap):
+    """Hand-written scalar k-controlled X_ij, the spec the array form must match."""
+    out = list(state)
+    if all(state[c] == v for c, v in zip(controls, values)):
+        if out[target] == swap[0]:
+            out[target] = swap[1]
+        elif out[target] == swap[1]:
+            out[target] = swap[0]
+    return tuple(out)
+
+
+def reference_shift(state, controls, target, dim, shift, values):
+    out = list(state)
+    if all(state[c] == v for c, v in zip(controls, values)):
+        out[target] = (out[target] + shift) % dim
+    return tuple(out)
+
+
+def reference_function(state, function, wires):
+    out = list(state)
+    for wire, digit in zip(wires, function(tuple(state[w] for w in wires))):
+        out[wire] = digit
+    return tuple(out)
+
+
+def random_spec_case(rng):
+    dim = int(rng.integers(2, 6))
+    num_wires = int(rng.integers(2, 8))
+    wires = [int(w) for w in rng.permutation(num_wires)]
+    target, controls = wires[0], wires[1 : int(rng.integers(1, num_wires + 1))]
+    values = [int(v) for v in rng.integers(0, dim, size=len(controls))]
+    states = rng.integers(0, dim, size=(200, num_wires))
+    return dim, num_wires, target, controls, values, states
+
+
+class TestArraySpecs:
+    def test_mct_array_form_matches_scalar_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            dim, _, target, controls, values, states = random_spec_case(rng)
+            swap = tuple(int(v) for v in rng.choice(dim, size=2, replace=False))
+            spec = mct_spec(controls, target, dim, control_values=values, swap=swap)
+            expected = [reference_mct(s, controls, target, values, swap) for s in states.tolist()]
+            assert spec.images(states).tolist() == [list(row) for row in expected]
+            assert spec(tuple(states[0].tolist())) == expected[0]
+
+    def test_mc_shift_array_form_matches_scalar_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            dim, _, target, controls, values, states = random_spec_case(rng)
+            shift = int(rng.integers(-2 * dim, 2 * dim))
+            spec = mc_shift_spec(controls, target, dim, shift, control_values=values)
+            expected = [
+                reference_shift(s, controls, target, dim, shift, values)
+                for s in states.tolist()
+            ]
+            assert spec.images(states).tolist() == [list(row) for row in expected]
+            assert spec(tuple(states[-1].tolist())) == expected[-1]
+
+    def test_default_control_values_are_zero(self):
+        states = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]])
+        swapped = mct_spec([0, 1], 2, 3).images(states)
+        shifted = mc_shift_spec([0], 2, 3).images(states)
+        assert swapped.tolist() == [[0, 0, 1], [0, 1, 1], [1, 0, 1]]
+        assert shifted.tolist() == [[0, 0, 1], [0, 1, 2], [1, 0, 1]]
+
+    def test_function_spec_on_wire_subsets_calls_once_per_data_tuple(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            dim = int(rng.integers(2, 5))
+            num_wires = int(rng.integers(2, 7))
+            width = int(rng.integers(1, num_wires + 1))
+            wires = [int(w) for w in rng.permutation(num_wires)[:width]]
+            table = rng.permutation(dim ** len(wires))
+            calls = []
+
+            def function(digits, table=table, dim=dim, width=len(wires)):
+                calls.append(digits)
+                index = 0
+                for digit in digits:
+                    index = index * dim + digit
+                image = int(table[index])
+                return tuple((image // dim**e) % dim for e in range(width - 1, -1, -1))
+
+            states = rng.integers(0, dim, size=(150, num_wires))
+            spec = checks.function_spec(function, wires)
+            images = spec.images(states)
+            distinct = {tuple(row) for row in states[:, wires].tolist()}
+            assert len(calls) == len(distinct) == len(set(calls))
+            expected = [reference_function(s, function, wires) for s in states.tolist()]
+            assert images.tolist() == [list(row) for row in expected]
+
+    def test_function_spec_rejects_wrong_arity(self):
+        spec = checks.function_spec(lambda digits: digits + (0,), [0, 1])
+        with pytest.raises(VerificationError, match="wrong arity"):
+            spec.images(np.zeros((3, 3), dtype=np.int64))
+
+    def test_scalar_callables_use_the_row_adapter(self):
+        states = np.array([[0, 1], [1, 1]])
+        flip = lambda s: (s[0], 1 - s[1])  # noqa: E731
+        assert checks.spec_images(flip, states).tolist() == [[0, 0], [1, 0]]
+        # A wrong-length image can never match: the adapter marks the row.
+        short = lambda s: s[:1]  # noqa: E731
+        assert checks.first_mismatch(short, states, states) == 0
+
+    def test_clean_wires_restrict_the_exhaustive_basis(self):
+        circuit = cx01_circuit(dim=3, num_wires=3)
+        spec = mct_spec([0], 2, 3)
+        assert checks.spec_exhaustive(circuit, spec, clean_wires=(1,)) == 9
+        assert checks.spec_exhaustive(circuit, spec) == 27
+
+
+def broken_mct():
+    """mct d=3 k=3, broken on the basis states |2,1,0,1> and |2,1,0,2>."""
+    from repro.synth import synthesize
+
+    result = synthesize("mct", 3, 3)
+    result.circuit.add_gate(
+        XPerm.transposition(3, 1, 2),
+        result.target,
+        [(0, Value(2)), (1, Value(1)), (2, Value(0))],
+    )
+    return result
+
+
+def scalar_mct(result):
+    def spec(state):
+        out = list(state)
+        if all(state[c] == 0 for c in result.controls):
+            out[result.target] = {0: 1, 1: 0}.get(out[result.target], out[result.target])
+        return tuple(out)
+
+    return spec
+
+
+class TestFirstFailingState:
+    """Both kernels report the first failing state with the historical message."""
+
+    EXHAUSTIVE = (
+        "circuit 'MCT_odd(k=3, d=3)' maps (2, 1, 0, 1) to (2, 1, 0, 2), "
+        "expected (2, 1, 0, 1)"
+    )
+    SAMPLED = (
+        "circuit 'MCT_odd(k=3, d=3)' maps (2, 1, 0, 2) to (2, 1, 0, 1), "
+        "expected (2, 1, 0, 2) (sampled check, seed=7, failing row 22; rerun with "
+        "sample_basis_states(3, 4, 300, 7)[22])"
+    )
+
+    @pytest.mark.parametrize("array_spec", [True, False])
+    def test_exhaustive_message(self, array_spec):
+        result = broken_mct()
+        spec = mct_spec(result.controls, result.target, 3) if array_spec else scalar_mct(result)
+        with pytest.raises(VerificationError) as info:
+            assert_implements_permutation(result.circuit, spec)
+        assert str(info.value) == self.EXHAUSTIVE
+
+    @pytest.mark.parametrize("array_spec", [True, False])
+    def test_sampled_message(self, array_spec):
+        result = broken_mct()
+        spec = mct_spec(result.controls, result.target, 3) if array_spec else scalar_mct(result)
+        with pytest.raises(VerificationError) as info:
+            assert_implements_permutation(result.circuit, spec, max_states=1, samples=300)
+        assert str(info.value) == self.SAMPLED
+
+    def test_chunk_boundaries_keep_the_first_failure(self, monkeypatch):
+        monkeypatch.setattr(checks, "EXHAUSTIVE_CHUNK", 7)
+        result = broken_mct()
+        with pytest.raises(VerificationError) as info:
+            checks.spec_exhaustive(result.circuit, mct_spec(result.controls, result.target, 3))
+        assert str(info.value) == self.EXHAUSTIVE
+
+    def test_function_wrapper_messages(self):
+        from repro.applications.arithmetic import increment_reference
+        from repro.sim import assert_permutation_equals_function
+        from repro.synth import synthesize
+
+        result = synthesize("increment", 3, 3)
+        result.circuit.add_gate(XPerm.transposition(3, 0, 2), 1, [(0, Value(1)), (2, Value(2))])
+        kwargs = dict(wires=[0, 1, 2], clean_wires=result.clean_wires())
+        function = lambda digits: increment_reference(3, 3, digits)  # noqa: E731
+        with pytest.raises(VerificationError) as info:
+            assert_permutation_equals_function(result.circuit, function, **kwargs)
+        assert str(info.value) == (
+            "circuit 'increment(d=3, n=3)' maps (1, 0, 1, 0) to (1, 2, 2, 0), "
+            "expected (1, 0, 2, 0)"
+        )
+        with pytest.raises(VerificationError) as info:
+            assert_permutation_equals_function(
+                result.circuit, function, max_states=1, samples=300, **kwargs
+            )
+        assert str(info.value) == (
+            "circuit 'increment(d=3, n=3)' maps (1, 2, 1, 0) to (1, 0, 2, 0), "
+            "expected (1, 2, 2, 0) (sampled check, seed=7, failing row 19; rerun with "
+            "sample_basis_states(3, 4, 300, 7, clean_wires=(3,))[19])"
+        )
