@@ -29,6 +29,7 @@ from repro.core.lowering import lower_to_g_gates
 from repro.sim import SparseState, assert_mct_spec, get_backend
 from repro.synth import synthesize
 from repro.utils.indexing import indices_to_digits
+from repro.verify import VerificationBudget
 
 DIM, CONTROLS = 3, 18
 
@@ -70,7 +71,8 @@ def main() -> None:
 
     # -- verified against the semantic spec, not trusted ---------------------
     start = time.perf_counter()
-    assert_mct_spec(macro, result.controls, result.target, max_states=1000, samples=256)
+    sampled = VerificationBudget(max_basis_states=1000, samples=256)
+    assert_mct_spec(macro, result.controls, result.target, budget=sampled)
     elapsed = time.perf_counter() - start
     print(f"  spec verification : 256 sampled states (batched) in {elapsed * 1e3:.1f} ms")
 

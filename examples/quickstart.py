@@ -44,6 +44,7 @@ from repro import (
 )
 from repro.passes import default_lowering_pipeline
 from repro.sim import Statevector, assert_mct_spec, available_backends
+from repro.verify import VerificationBudget
 
 
 def main() -> None:
@@ -320,7 +321,8 @@ def main() -> None:
         f"  sparse engine: nnz {state.nnz} -> {evolved.nnz}, "
         f"{evolved.nbytes} bytes vs {16 * size / 1e9:.1f} GB dense"
     )
-    assert_mct_spec(huge.circuit, huge.controls, huge.target, max_states=1000, samples=128)
+    sampled = VerificationBudget(max_basis_states=1000, samples=128)
+    assert_mct_spec(huge.circuit, huge.controls, huge.target, budget=sampled)
     print("  verified against the mct spec: 128 sampled states, one batched index pass")
     print("  (examples/huge_register_oracle.py runs the full tour)")
 

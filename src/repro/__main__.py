@@ -223,20 +223,17 @@ def _cmd_synthesize(args) -> int:
         except NotImplementedError:
             print("verify: no canonical specification for this strategy", file=sys.stderr)
             return 2
-        if getattr(outcome, "undecided", False):
+        if outcome.undecided:
             print(
                 "verify: UNDECIDED — the budget ruled out every deciding tier "
                 "(raise --verify-tier or --verify-budget)",
                 file=sys.stderr,
             )
             return 2
-        if getattr(outcome, "decided_by", None):
-            print(
-                "verify: OK (matches the semantic specification; decided by the "
-                f"{outcome.decided_by} tier, {outcome.states_checked} states checked)"
-            )
-        else:
-            print("verify: OK (matches the semantic specification)")
+        print(
+            "verify: OK (matches the semantic specification; decided by the "
+            f"{outcome.decided_by} tier, {outcome.states_checked} states checked)"
+        )
     return 0
 
 

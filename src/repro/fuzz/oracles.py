@@ -108,36 +108,19 @@ _PASS_KERNELS = {
     CancelAdjacentInverses: "cancel_adjacent_inverses",
 }
 
-#: Largest basis a synthesis-instance semantic check will enumerate.
-#: Beyond it the check switches to batched sampled index propagation
-#: (exact per state, O(rows · samples), any register size) — never skips.
-_SPEC_BASIS_LIMIT = 30_000
-
-#: Samples for the batched index-propagation verify beyond the basis limit.
-_SPEC_SAMPLES = 128
-
-#: Tighter cap for dense-unitary verifies, which build a basis² matrix.
-_SPEC_UNITARY_LIMIT = 1_024
-
-#: Up to this basis, strategies advertising ``supports_sampled_columns``
-#: are verified by evolving a few pinned+sampled basis columns as one batch
-#: instead of skipping — one (basis, columns) array, no basis² matrix.
-_SPEC_SAMPLED_UNITARY_LIMIT = 65_536
-
-#: Columns drawn for the sampled-column unitary verify (the strategy pins
-#: its fired block on top of these).
-_SPEC_COLUMN_SAMPLES = 4
-
-#: Default budget of the ``synth-spec`` oracle: the historical caps above
-#: expressed as one :class:`repro.verify.VerificationBudget`, so the full
-#: fuzz sweep keeps its pre-tiered coverage exactly.  ``--verify-tier``
-#: swaps in a preset (e.g. ``smoke``) instead.
+#: Default budget of the ``synth-spec`` oracle; ``--verify-tier`` swaps in a
+#: preset (e.g. ``smoke``) instead.  Permutation checks enumerate up to
+#: 30,000 basis states, then push 128 seeded samples through one batched
+#: index pass (exact per state, any register size) — never a skip.  Unitary
+#: checks build the basis² matrix up to basis 1,024; beyond it, strategies
+#: with a column oracle (``mcu-exponential``) evolve 4 sampled columns plus
+#: their pinned fired block as one batch up to basis 65,536.
 FUZZ_VERIFY_BUDGET = VerificationBudget(
-    max_basis_states=_SPEC_BASIS_LIMIT,
-    samples=_SPEC_SAMPLES,
-    max_dense_dim=_SPEC_UNITARY_LIMIT,
-    sampled_columns=_SPEC_COLUMN_SAMPLES,
-    max_column_basis=_SPEC_SAMPLED_UNITARY_LIMIT,
+    max_basis_states=30_000,
+    samples=128,
+    max_dense_dim=1_024,
+    sampled_columns=4,
+    max_column_basis=65_536,
 )
 
 
@@ -635,11 +618,7 @@ def check_synthesis_semantics(
 
     Routed through the tiered verifier (:mod:`repro.verify`): the strategy's
     ``verify`` escalates structural → sampled → exhaustive under ``budget``
-    (default :data:`FUZZ_VERIFY_BUDGET`, which mirrors the oracle's historical
-    caps — exhaustive up to ``_SPEC_BASIS_LIMIT`` basis states, then batched
-    sampled index propagation; dense unitary compares up to
-    ``_SPEC_UNITARY_LIMIT``, then sampled columns up to
-    ``_SPEC_SAMPLED_UNITARY_LIMIT``).  A budget too tight to decide an
+    (default :data:`FUZZ_VERIFY_BUDGET`).  A budget too tight to decide an
     instance counts as a skip, never a pass.  ``tier_hits`` (when given)
     accumulates one count per decided instance keyed by the deciding tier
     name, plus ``"undecided"`` for the skips — the CI fuzz report exposes
@@ -661,7 +640,7 @@ def check_synthesis_semantics(
     except VerificationError as error:
         return f"{instance.describe()}: {error}"
     if tier_hits is not None:
-        decided = getattr(outcome, "decided_by", None) or "undecided"
+        decided = outcome.decided_by or "undecided"
         tier_hits[decided] = tier_hits.get(decided, 0) + 1
     return None
 

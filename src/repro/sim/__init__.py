@@ -29,11 +29,8 @@ from repro.sim.sparse import (
 )
 from repro.sim.permutation import (
     apply_to_basis,
-    function_table,
     permutation_index_table,
     permutation_parity,
-    permutation_table,
-    states_differing_on,
 )
 from repro.sim.batch import BatchedStatevector, apply_to_basis_indices
 from repro.sim.statevector import Statevector
@@ -70,11 +67,8 @@ __all__ = [
     "set_default_backend",
     "unregister_backend",
     "apply_to_basis",
-    "function_table",
     "permutation_index_table",
     "permutation_parity",
-    "permutation_table",
-    "states_differing_on",
     "BatchedStatevector",
     "apply_to_basis_indices",
     "Statevector",

@@ -2,27 +2,30 @@
 
 Every synthesis in the paper (k-Toffoli, P_k, reversible functions) produces
 a *classical reversible* circuit: each operation maps computational basis
-states to computational basis states without introducing phases.  Such
-circuits are verified exhaustively by running every basis state through the
-circuit, which is dramatically cheaper than dense unitary simulation
-(``O(d^n * size)`` instead of ``O(d^{2n} * size)``) and is exact.
+states to computational basis states without introducing phases.  This
+module keeps the object-level reference forms of that action:
 
-The whole-basis queries are vectorized: :func:`permutation_index_table`
-composes the per-operation gather tables exposed by
-:meth:`repro.qudit.operations.BaseOp.permutation_table` (cached per
-``(op, n, d)``), so a circuit of ``m`` gates costs ``m`` numpy gathers
-instead of ``m * d^n`` Python-level gate applications.
+* :func:`apply_to_basis` walks one basis state through the op list;
+* :func:`permutation_index_table` composes the per-operation gather tables
+  of :meth:`repro.qudit.operations.BaseOp.permutation_table` (cached per
+  ``(op, n, d)``) into the whole-basis action — ``m`` numpy gathers for
+  ``m`` gates;
+* :func:`permutation_parity` gives the sign of that permutation, the
+  paper's even-``d`` parity argument.
+
+The verifier checks circuits with its own chunked kernels
+(:mod:`repro.verify.checks`); the fuzz oracles use these functions as the
+reference those kernels are compared against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GateError
 from repro.qudit.circuit import QuditCircuit
-from repro.utils.indexing import digit_matrix, indices_to_digits
 
 BasisState = Tuple[int, ...]
 
@@ -64,23 +67,6 @@ def permutation_index_table(circuit: QuditCircuit) -> np.ndarray:
     return table
 
 
-def permutation_table(circuit: QuditCircuit) -> List[int]:
-    """Return the full permutation of flat basis indices implemented by ``circuit``.
-
-    Plain-list version of :func:`permutation_index_table`, kept for callers
-    that expect Python integers.
-    """
-    return permutation_index_table(circuit).tolist()
-
-
-def function_table(circuit: QuditCircuit) -> Dict[BasisState, BasisState]:
-    """Return the circuit's action as a mapping of digit tuples."""
-    table = permutation_index_table(circuit)
-    sources = digit_matrix(circuit.dim, circuit.num_wires).tolist()
-    images = indices_to_digits(table, circuit.dim, circuit.num_wires).tolist()
-    return {tuple(source): tuple(image) for source, image in zip(sources, images)}
-
-
 def permutation_parity(circuit: QuditCircuit) -> int:
     """Return the sign parity (0 even / 1 odd) of the permutation the circuit
     implements on the full computational basis.
@@ -104,20 +90,3 @@ def permutation_parity(circuit: QuditCircuit) -> int:
         transposition_count += length - 1
     return transposition_count % 2
 
-
-def states_differing_on(
-    circuit: QuditCircuit, wires: Iterable[int]
-) -> List[Tuple[BasisState, BasisState]]:
-    """Return (input, output) pairs where the circuit changed any of ``wires``.
-
-    Handy when debugging control-preservation or borrowed-ancilla violations.
-    """
-    wires = list(wires)
-    table = permutation_index_table(circuit)
-    sources = digit_matrix(circuit.dim, circuit.num_wires)
-    images = indices_to_digits(table, circuit.dim, circuit.num_wires)
-    changed = (sources[:, wires] != images[:, wires]).any(axis=1)
-    return [
-        (tuple(sources[i].tolist()), tuple(images[i].tolist()))
-        for i in np.nonzero(changed)[0]
-    ]

@@ -51,7 +51,8 @@ from repro.applications.unitary_synthesis import random_unitary, synthesize_unit
 from repro.utils.indexing import digits_to_index, index_to_digits
 
 
-def _verify_mct(result: SynthesisResult, budget=None, **kwargs):
+def _verify_mct(self, result: SynthesisResult, dim: int, k: int, budget=None):
+    """``verify`` of the k-Toffoli-spec strategies (on the clean-ancilla subspace)."""
     from repro.sim.verify import assert_mct_spec
 
     return assert_mct_spec(
@@ -60,7 +61,6 @@ def _verify_mct(result: SynthesisResult, budget=None, **kwargs):
         result.target,
         clean_wires=result.clean_wires(),
         budget=budget,
-        **kwargs,
     )
 
 
@@ -135,8 +135,7 @@ class MctStrategy(Synthesizer):
         borrowed = (ks >= 2).astype(np.int64)
         return ks + 1 + borrowed, {"borrowed": borrowed}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        return _verify_mct(result, budget=budget, **kwargs)
+    verify = _verify_mct
 
 
 class MctOddStrategy(MctStrategy):
@@ -218,7 +217,7 @@ class PkStrategy(Synthesizer):
         borrowed = (ks > 2).astype(np.int64)
         return ks + borrowed, {"borrowed": borrowed}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None):
         from repro.sim.verify import assert_permutation_equals_function
 
         return assert_permutation_equals_function(
@@ -226,7 +225,6 @@ class PkStrategy(Synthesizer):
             lambda digits: pk_map(dim, digits),
             wires=list(range(k)),
             budget=budget,
-            **kwargs,
         )
 
 
@@ -273,10 +271,8 @@ class McuStrategy(Synthesizer):
         clean = (ks >= 2).astype(np.int64)
         return ks + 1 + clean, {"clean": clean}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        # Canonical payload is X01, so the spec is exactly the k-Toffoli's
-        # (on the clean-ancilla subspace).
-        return _verify_mct(result, budget=budget, **kwargs)
+    # Canonical payload is X01, so the spec is exactly the k-Toffoli's.
+    verify = _verify_mct
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +311,7 @@ class CleanLadderStrategy(Synthesizer):
         clean = np.where(ks > 2, -(-(ks - 2) // max(1, dim - 2)), 0)
         return ks + 1 + clean, {"clean": clean}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        return _verify_mct(result, budget=budget, **kwargs)
+    verify = _verify_mct
 
 
 class McuExponentialStrategy(Synthesizer):
@@ -413,24 +408,19 @@ class McuExponentialStrategy(Synthesizer):
         batch.metrics["single_qudit_gates"] = (ks == 0).astype(np.int64)
         return batch
 
-    #: The expected unitary has closed-form columns (identity outside the
-    #: |0^k⟩ block), so the synth-spec oracle may request a sampled-column
-    #: verify on bases too large for the dense matrix compare.
-    supports_sampled_columns = True
-
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        import numpy as np
-
+    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None):
         from repro.baselines.ancilla_free_exponential import toffoli_payload_su
         from repro.sim.unitary import multi_controlled_unitary_matrix
-        from repro.sim.verify import assert_unitary_columns_equiv, assert_unitary_equiv
+        from repro.sim.verify import UNITARY_BUDGET
+        from repro.verify import TieredVerifier
 
         payload = np.asarray(toffoli_payload_su(dim))
         # Column oracle: the expected matrix is the identity except for the
         # payload block at the all-zero control values (the circuit is
         # ancilla-free, so the block is columns 0..d-1), so each expected
         # column is written down directly — no basis² matrix.  The payload
-        # block is always pinned into the sample.
+        # block is always pinned into the sample; the basis² matrix is only
+        # built when the budget selects the dense tier.
         size = dim**result.circuit.num_wires
 
         def expected_column(col: int) -> np.ndarray:
@@ -441,38 +431,14 @@ class McuExponentialStrategy(Synthesizer):
                 vector[col] = 1.0
             return vector
 
-        sampled_columns = kwargs.pop("sampled_columns", None)
-        if sampled_columns is not None:
-            return assert_unitary_columns_equiv(
-                result.circuit,
-                expected_column,
-                samples=int(sampled_columns),
-                required_columns=range(dim),
-                up_to_global_phase=True,
-                budget=budget,
-                **kwargs,
-            )
-        if budget is not None:
-            # Budget-driven: hand the verifier the cheap column oracle plus a
-            # lazy factory for the basis² matrix, so the dense compare is only
-            # materialised when the budget actually selects the dense tier.
-            from repro.verify import TieredVerifier, resolve_budget
-
-            report = TieredVerifier(resolve_budget(budget)).verify_unitary(
-                result.circuit,
-                expected_factory=lambda: np.asarray(
-                    multi_controlled_unitary_matrix(dim, k, payload)
-                ),
-                expected_column=expected_column,
-                required_columns=range(dim),
-                up_to_global_phase=True,
-                **kwargs,
-            )
-            return report.raise_if_failed()
-        expected = multi_controlled_unitary_matrix(dim, k, payload)
-        return assert_unitary_equiv(
-            result.circuit, np.asarray(expected), up_to_global_phase=True, **kwargs
-        )
+        verifier = TieredVerifier(UNITARY_BUDGET if budget is None else budget)
+        return verifier.verify_unitary(
+            result.circuit,
+            expected_factory=lambda: multi_controlled_unitary_matrix(dim, k, payload),
+            expected_column=expected_column,
+            required_columns=range(dim),
+            up_to_global_phase=True,
+        ).raise_if_failed()
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +496,7 @@ class IncrementStrategy(Synthesizer):
             **fields,
         )
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None):
         from repro.sim.verify import assert_permutation_equals_function
 
         return assert_permutation_equals_function(
@@ -539,7 +505,6 @@ class IncrementStrategy(Synthesizer):
             wires=list(range(k)),
             clean_wires=result.clean_wires(),
             budget=budget,
-            **kwargs,
         )
 
 
@@ -599,7 +564,7 @@ class ReversibleStrategy(Synthesizer):
             **values,
         )
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None):
         from repro.sim.verify import assert_permutation_equals_function
 
         table = random_reversible_function(dim, k, seed=0)
@@ -608,7 +573,7 @@ class ReversibleStrategy(Synthesizer):
             return index_to_digits(table[digits_to_index(digits, dim)], dim, k)
 
         return assert_permutation_equals_function(
-            result.circuit, reference, wires=list(range(k)), budget=budget, **kwargs
+            result.circuit, reference, wires=list(range(k)), budget=budget
         )
 
 
@@ -668,7 +633,7 @@ class UnitaryStrategy(Synthesizer):
             **values,
         )
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None):
         from repro.sim.verify import (
             assert_unitary_equiv,
             assert_unitary_equiv_with_clean_ancillas,
@@ -684,11 +649,8 @@ class UnitaryStrategy(Synthesizer):
                 clean,
                 atol=1e-7,
                 budget=budget,
-                **kwargs,
             )
-        return assert_unitary_equiv(
-            result.circuit, expected, atol=1e-7, budget=budget, **kwargs
-        )
+        return assert_unitary_equiv(result.circuit, expected, atol=1e-7, budget=budget)
 
 
 def _controlled_transposition_cost(dim: int) -> Tuple[int, int]:

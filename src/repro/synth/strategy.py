@@ -190,12 +190,13 @@ class Synthesizer(abc.ABC):
                 column[index] = count
         return wires, ancillas
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None):
         """Semantic check of a synthesis produced by this strategy.
 
         ``budget`` is a :class:`repro.verify.VerificationBudget` (or a preset
         name like ``"smoke"``) bounding how much the check may spend; ``None``
-        keeps each strategy's historical full-strength check.  Returns the
+        means the ``standard`` preset for classical checks and a dense compare
+        at any size for unitary ones (see :mod:`repro.sim.verify`).  Returns the
         :class:`repro.verify.VerificationReport` of the run — note a report
         may come back *undecided* under a tight budget, which is a skip, not
         a pass.  Raises :class:`~repro.exceptions.VerificationError` on

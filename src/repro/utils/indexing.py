@@ -81,9 +81,3 @@ def indices_to_digits(indices, dim: int, num_wires: int) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
     strides = dim ** np.arange(num_wires - 1, -1, -1, dtype=np.int64)
     return (indices[..., None] // strides) % dim
-
-
-def digit_matrix(dim: int, num_wires: int) -> np.ndarray:
-    """The ``(dim**num_wires, num_wires)`` array of every basis digit tuple,
-    in flat-index order."""
-    return indices_to_digits(np.arange(dim**num_wires), dim, num_wires)

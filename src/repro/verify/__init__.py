@@ -1,10 +1,10 @@
 """Tiered verification: one budgeted verifier behind every entry point.
 
-This package unifies the library's verification paths — the ``assert_*``
-helpers in :mod:`repro.sim.verify`, the per-strategy
+Every verification entry point — the ``assert_*`` helpers in
+:mod:`repro.sim.verify`, the per-strategy
 :meth:`~repro.synth.strategy.Synthesizer.verify` implementations, the fuzz
-``synth-spec`` oracle, the CLI and the workload runner — behind one
-:class:`TieredVerifier` that escalates cheap → expensive under a
+``synth-spec`` oracle, the CLI and the workload runner — is one call of a
+:class:`TieredVerifier` method, which escalates cheap → expensive under a
 :class:`VerificationBudget`:
 
 >>> from repro.verify import TieredVerifier, VerificationBudget

@@ -114,16 +114,6 @@ class VerificationBudget:
                 f"choose from {sorted(PRESETS)}"
             ) from None
 
-    def describe(self) -> str:
-        """One-line summary used by CLI output and reports."""
-        return (
-            f"basis<={self.max_basis_states} samples={self.samples} "
-            f"dense<={self.max_dense_dim} cols={self.sampled_columns} "
-            f"col_basis<={self.max_column_basis} "
-            f"dense={'on' if self.allow_dense else 'off'}"
-            f"{' prefer-columns' if self.prefer_columns else ''}"
-        )
-
 
 #: Named budget presets.  ``smoke`` decides everything it can below the dense
 #: tier (CI smoke runs); ``standard`` mirrors the library's historical

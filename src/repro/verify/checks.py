@@ -1,12 +1,18 @@
-"""Tier check kernels shared by the tiered verifier and the ``assert_*`` API.
+"""Tier check kernels of the tiered verifier.
 
 Each function here is one *check kernel*: it runs a single verification
 strategy to completion and raises :class:`~repro.exceptions.VerificationError`
 on divergence, returning how many states it examined (and, for sampled
 kernels, a replay recipe).  The :class:`~repro.verify.verifier.TieredVerifier`
-sequences kernels by cost; the legacy ``assert_*`` helpers in
-:mod:`repro.sim.verify` are thin wrappers over the same kernels, so every
-entry point shares one set of (corrected) semantics.
+sequences kernels by cost.
+
+The classical checks share two kernels: :func:`exhaustive_kernel` walks the
+whole basis in :data:`EXHAUSTIVE_CHUNK` blocks of the composed gather table,
+and :func:`sampled_kernel` pushes seeded samples through one
+:func:`propagate_samples` pass.  Both hand each ``(states, images)`` batch to
+a mismatch mask; :func:`spec_exhaustive`/:func:`spec_sampled` compare the
+images with :func:`spec_images`, and :func:`wires_preserved_exhaustive`/
+:func:`wires_preserved_sampled` compare the watched columns.
 
 All imports from :mod:`repro.sim` are deferred to call time: ``repro.sim``
 imports :mod:`repro.verify` while building its public API, so a module-level
@@ -58,17 +64,16 @@ def sample_basis_matrix(
 ) -> np.ndarray:
     """Deterministic ``(samples, num_wires)`` digit matrix of basis states.
 
-    One seeded :class:`numpy.random.Generator` drives the sampled fallbacks
-    of the ``assert_*`` helpers, the test-suite samplers in ``conftest`` and
-    the fuzz generators, so a failure reported with its seed reproduces the
-    exact state sequence anywhere.  Wires listed in ``clean_wires`` are
-    pinned to ``0`` (the clean-ancilla contract).  States are drawn one digit
-    per wire, so the sampler works on registers far beyond ``int64`` flat
-    indices.
+    One seeded :class:`numpy.random.Generator` drives the sampled tier, the
+    test-suite samplers in ``conftest`` and the fuzz generators, so a
+    failure reported with its seed reproduces the exact state sequence
+    anywhere.  Wires listed in ``clean_wires`` are pinned to ``0`` (the
+    clean-ancilla contract).  States are drawn one digit per wire, so the
+    sampler works on registers far beyond ``int64`` flat indices.
     """
     rng = np.random.default_rng(seed)
     states = rng.integers(0, dim, size=(samples, num_wires))
-    clean = [w for w in clean_wires]
+    clean = list(clean_wires)
     if clean:
         states[:, clean] = 0
     return states
@@ -163,14 +168,11 @@ def structural_check(circuit) -> Dict[str, int]:
             f"{int(wires[r])} out of range for {num_wires} wires",
         )
     note(star & (table.wire_a < 0), lambda r: f"row {r}: star row has no star wire")
-    note(
-        (table.wire_a >= 0) & (table.wire_a == target),
-        lambda r: f"row {r}: control wire {int(table.wire_a[r])} duplicates the target",
-    )
-    note(
-        (table.wire_b >= 0) & (table.wire_b == target),
-        lambda r: f"row {r}: control wire {int(table.wire_b[r])} duplicates the target",
-    )
+    for wires in (table.wire_a, table.wire_b):
+        note(
+            (wires >= 0) & (wires == target),
+            lambda r, wires=wires: f"row {r}: control wire {int(wires[r])} duplicates the target",
+        )
     note(
         (table.wire_a >= 0) & (table.wire_a == table.wire_b),
         lambda r: f"row {r}: duplicate control wire {int(table.wire_a[r])}",
@@ -260,23 +262,50 @@ def structural_check(circuit) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Tiers 2 & 4 — permutation-spec and wire-preservation kernels
+# Tiers 2 & 4 — classical basis-map kernels
 # ----------------------------------------------------------------------
 
+#: ``(states, images) -> bool mask`` of the rows that break a check.
+Mismatch = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``(state, image) -> message`` for the first offending row.
+Describe = Callable[[np.ndarray, np.ndarray], str]
 
-def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int:
-    """Whole-basis gather-table check of ``circuit`` against ``spec``.
 
-    The basis is compared in blocks of :data:`EXHAUSTIVE_CHUNK` states: each
-    block's source and image digit matrices are decoded from the composed
-    gather table and compared with the spec's images in one array compare,
-    so working memory stays bounded whatever the basis size.
+def check_wires(label: str, wires: Sequence[int], num_wires: int) -> None:
+    """Reject wire labels outside ``0..num_wires-1`` before any kernel runs.
+
+    A wire past the register would make numpy raise a bare ``IndexError``;
+    a negative one would silently alias a wire counted from the end, so the
+    check would watch a different wire than the caller named.
     """
-    from repro.sim.permutation import permutation_index_table
+    bad = [int(w) for w in wires if not 0 <= int(w) < num_wires]
+    if bad:
+        raise VerificationError(
+            f"{label} {bad} out of range for {num_wires} wires "
+            f"(wires must be in 0..{num_wires - 1})"
+        )
 
+
+def _first_row(mask: np.ndarray) -> Optional[int]:
+    rows = np.flatnonzero(mask)
+    return int(rows[0]) if rows.size else None
+
+
+def exhaustive_kernel(
+    circuit, mismatch: Mismatch, describe: Describe, clean_wires: Sequence[int] = ()
+) -> int:
+    """Whole-basis check of ``circuit``'s image of every basis state.
+
+    The basis is walked in blocks of :data:`EXHAUSTIVE_CHUNK` states of the
+    composed gather table: each block's source and image digit matrices go
+    through ``mismatch`` in one array call, so working memory stays bounded
+    whatever the basis size.  States with a nonzero digit on a clean wire
+    are outside the circuit's contract and are left out.  Raises on the
+    first offending state in flat-index order; returns the states checked.
+    """
     clean = list(clean_wires)
     dim, num_wires = circuit.dim, circuit.num_wires
-    table = permutation_index_table(circuit)
+    table = circuit.to_table().permutation_index_table()
     checked = 0
     for start in range(0, table.size, EXHAUSTIVE_CHUNK):
         stop = min(start + EXHAUSTIVE_CHUNK, table.size)
@@ -285,102 +314,96 @@ def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int
         if clean:
             contract = ~sources[:, clean].any(axis=1)
             sources, images = sources[contract], images[contract]
+        if not len(sources):
+            continue
         checked += len(sources)
-        row = first_mismatch(spec, sources, images)
+        row = _first_row(mismatch(sources, images))
         if row is not None:
-            raise VerificationError(mismatch_message(circuit, spec, sources[row], images[row]))
+            raise VerificationError(describe(sources[row], images[row]))
     return checked
 
 
-def spec_sampled(
+def sampled_kernel(
     circuit,
-    spec: Spec,
+    mismatch: Mismatch,
+    describe: Describe,
     samples: int,
     seed: int,
     clean_wires: Sequence[int] = (),
 ) -> Tuple[int, str]:
-    """Sampled batched index-propagation check of ``circuit`` vs ``spec``.
+    """Seeded sampled check: ONE batched :func:`propagate_samples` pass.
 
-    All samples propagate through ONE batched index pass (O(rows · samples)
-    stride arithmetic, no ``d^n`` table) and are compared with the spec's
-    images in one array compare, so the sampled branch works on registers
-    far beyond any statevector.  Returns ``(states_checked, replay)``.
+    O(rows · samples) stride arithmetic, no ``d^n`` table, so it works on
+    registers far beyond any statevector.  A failure names the seed, the
+    failing row and the recipe replaying it.  Returns
+    ``(states_checked, replay)``.
     """
     clean = tuple(clean_wires)
-    states = sample_basis_matrix(
-        circuit.dim, circuit.num_wires, samples, seed, clean_wires=clean
-    )
+    dim, num_wires = circuit.dim, circuit.num_wires
+    states = sample_basis_matrix(dim, num_wires, samples, seed, clean_wires=clean)
     images = propagate_samples(circuit, states)
-    recipe = sample_recipe(circuit.dim, circuit.num_wires, samples, seed, clean)
-    row = first_mismatch(spec, states, images)
+    recipe = sample_recipe(dim, num_wires, samples, seed, clean)
+    row = _first_row(mismatch(states, images)) if len(states) else None
     if row is not None:
         raise VerificationError(
-            mismatch_message(circuit, spec, states[row], images[row])
+            describe(states[row], images[row])
             + f" (sampled check, seed={seed}, failing row {row}; rerun with {recipe}[{row}])"
         )
     return len(states), recipe
 
 
-def first_mismatch(spec: Spec, states: np.ndarray, images: np.ndarray) -> Optional[int]:
-    """Row of the first state whose image differs from the spec's, or None."""
-    if not len(states):
-        return None
-    bad = np.flatnonzero((spec_images(spec, states) != images).any(axis=1))
-    return int(bad[0]) if bad.size else None
+def _spec_check(circuit, spec: Spec) -> Tuple[Mismatch, Describe]:
+    def mismatch(states, images):
+        return (spec_images(spec, states) != images).any(axis=1)
+
+    def describe(state, image):
+        # The expected image comes from the scalar call.
+        state = tuple(state.tolist())
+        return (
+            f"circuit {circuit.name!r} maps {state} to {tuple(image.tolist())}, "
+            f"expected {tuple(spec(state))}"
+        )
+
+    return mismatch, describe
 
 
-def mismatch_message(circuit, spec: Spec, state: np.ndarray, image: np.ndarray) -> str:
-    """The divergence message; the expected image comes from the scalar call."""
-    state = tuple(state.tolist())
-    expected = tuple(spec(state))
-    return (
-        f"circuit {circuit.name!r} maps {state} to {tuple(image.tolist())}, "
-        f"expected {expected}"
-    )
+def _wires_check(circuit, wires: Sequence[int]) -> Tuple[Mismatch, Describe]:
+    wires = tuple(wires)
+    watched = list(wires)
+
+    def mismatch(states, images):
+        return (states[:, watched] != images[:, watched]).any(axis=1)
+
+    def describe(state, image):
+        state, image = tuple(state.tolist()), tuple(image.tolist())
+        changed = [w for w in wires if image[w] != state[w]]
+        return f"circuit {circuit.name!r} modified wires {changed} on input {state}: {image}"
+
+    return mismatch, describe
+
+
+def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int:
+    """Whole-basis check that ``circuit`` maps basis states as ``spec`` does."""
+    return exhaustive_kernel(circuit, *_spec_check(circuit, spec), clean_wires)
+
+
+def spec_sampled(
+    circuit, spec: Spec, samples: int, seed: int, clean_wires: Sequence[int] = ()
+) -> Tuple[int, str]:
+    """Sampled check that ``circuit`` maps basis states as ``spec`` does."""
+    return sampled_kernel(circuit, *_spec_check(circuit, spec), samples, seed, clean_wires)
 
 
 def wires_preserved_exhaustive(circuit, wires: Sequence[int]) -> int:
     """Whole-basis check that ``circuit`` restores the watched wires."""
-    from repro.sim.permutation import states_differing_on
-
-    wires = tuple(wires)
-    # Fully vectorized: states_differing_on compares the watched wires of
-    # every basis state with its image under the composed gather table.
-    offenders = states_differing_on(circuit, wires)
-    if offenders:
-        state, output = offenders[0]
-        mismatch = [w for w in wires if output[w] != state[w]]
-        raise VerificationError(
-            f"circuit {circuit.name!r} modified wires {mismatch} on input {state}: {output}"
-        )
-    return basis_size(circuit.dim, circuit.num_wires)
+    return exhaustive_kernel(circuit, *_wires_check(circuit, wires))
 
 
 def wires_preserved_sampled(
     circuit, wires: Sequence[int], samples: int, seed: int
 ) -> Tuple[int, str]:
-    """Sampled batched check that ``circuit`` restores the watched wires."""
-    wires = tuple(wires)
-    sources = sample_basis_matrix(circuit.dim, circuit.num_wires, samples, seed)
-    # Batched like the permutation-spec kernel: one index pass for all
-    # samples, then a vectorized compare of just the watched wires.
-    images = propagate_samples(circuit, sources)
-    watched = list(wires)
-    diff = images[:, watched] != sources[:, watched]
-    bad_rows = np.nonzero(diff.any(axis=1))[0]
-    recipe = sample_recipe(circuit.dim, circuit.num_wires, samples, seed)
-    if bad_rows.size:
-        row = int(bad_rows[0])
-        state = tuple(int(v) for v in sources[row])
-        output = tuple(int(v) for v in images[row])
-        mismatch = [w for w in wires if output[w] != state[w]]
-        raise VerificationError(
-            f"circuit {circuit.name!r} modified wires {mismatch} on input "
-            f"{state}: {output} (sampled check, seed={seed}, failing row "
-            f"{row}; rerun with sample_basis_states({circuit.dim}, "
-            f"{circuit.num_wires}, {samples}, {seed})[{row}])"
-        )
-    return len(sources), recipe
+    """Sampled check that ``circuit`` restores the watched wires."""
+    return sampled_kernel(circuit, *_wires_check(circuit, wires), samples, seed)
 
 
 # ----------------------------------------------------------------------
@@ -539,33 +562,34 @@ def unitary_clean_subspace(
     """
     from repro.sim.unitary import circuit_unitary
 
-    data_wires = tuple(data_wires)
-    clean_wires = tuple(clean_wires)
+    data_wires = list(data_wires)
+    clean_wires = list(clean_wires)
     full = circuit_unitary(circuit, backend=backend)
-    dim = circuit.dim
+    dim, num_wires = circuit.dim, circuit.num_wires
     size_data = dim ** len(data_wires)
     if expected.shape != (size_data, size_data):
         raise VerificationError("expected matrix shape does not match the data wires")
 
+    # Column ``c`` of the block is the basis state with the digits of ``c``
+    # on the data wires and 0 everywhere else.
+    strides = dim ** np.arange(num_wires - 1, -1, -1, dtype=np.int64)
+    inputs = np.zeros((size_data, num_wires), dtype=np.int64)
+    inputs[:, data_wires] = indices_to_digits(np.arange(size_data), dim, len(data_wires))
+    inputs[:, clean_wires] = 0
+    columns = full[:, inputs @ strides].T  # (data column, basis row)
+
+    rows = indices_to_digits(np.arange(full.shape[0]), dim, num_wires)
+    leaks = rows[:, clean_wires].any(axis=1)
+    data_strides = dim ** np.arange(len(data_wires) - 1, -1, -1, dtype=np.int64)
+    row_data = rows[:, data_wires] @ data_strides
+    significant = np.abs(columns) >= 1e-14
+    leaked = np.abs(columns[significant & leaks])
+    leakage = float(leaked.max()) if leaked.size else 0.0
+    # Amplitudes on the clean subspace add into the block in (column, row)
+    # order, the same order as a per-amplitude loop.
+    col, row = np.nonzero(significant & ~leaks)
     block = np.zeros((size_data, size_data), dtype=complex)
-    leakage = 0.0
-    for col_data in range(size_data):
-        col_digits = _merge_digits(circuit, data_wires, clean_wires, col_data)
-        col_index = sum(
-            digit * dim ** (circuit.num_wires - 1 - wire) for wire, digit in col_digits.items()
-        )
-        column = full[:, col_index]
-        for row_index, amplitude in enumerate(column):
-            if abs(amplitude) < 1e-14:
-                continue
-            digits = list(_index_digits(row_index, dim, circuit.num_wires))
-            if any(digits[w] != 0 for w in clean_wires):
-                leakage = max(leakage, abs(amplitude))
-                continue
-            row_data = 0
-            for wire in data_wires:
-                row_data = row_data * dim + digits[wire]
-            block[row_data, col_data] += amplitude
+    np.add.at(block, (row_data[row], col), columns[col, row])
     if leakage > atol:
         raise VerificationError(
             f"circuit {circuit.name!r} leaks amplitude {leakage:.3e} into non-zero ancilla states"
@@ -577,26 +601,6 @@ def unitary_clean_subspace(
             "on the clean-ancilla subspace"
         )
     return size_data
-
-
-def _merge_digits(circuit, data_wires, clean_wires, data_index):
-    dim = circuit.dim
-    digits = {wire: 0 for wire in range(circuit.num_wires)}
-    remaining = data_index
-    for wire in reversed(data_wires):
-        digits[wire] = remaining % dim
-        remaining //= dim
-    for wire in clean_wires:
-        digits[wire] = 0
-    return digits
-
-
-def _index_digits(index, dim, num_wires):
-    digits = [0] * num_wires
-    for position in range(num_wires - 1, -1, -1):
-        digits[position] = index % dim
-        index //= dim
-    return digits
 
 
 # ----------------------------------------------------------------------
@@ -625,13 +629,18 @@ class PermutationSpec:
     ``images`` maps an ``(N, n)`` ``int64`` digit matrix of basis states to
     the ``(N, n)`` matrix of their expected images.  It is the spec's one
     implementation: calling the spec on a single digit tuple runs it on a
-    one-row matrix, so scalar callers keep working.
+    one-row matrix, so scalar callers keep working.  ``wires`` lists the
+    wires the spec reads or writes; the verifier range-checks them against
+    the circuit before any kernel runs.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "wires")
 
-    def __init__(self, images: Callable[[np.ndarray], np.ndarray]):
+    def __init__(
+        self, images: Callable[[np.ndarray], np.ndarray], wires: Sequence[int] = ()
+    ):
         self.images = images
+        self.wires = tuple(int(w) for w in wires)
 
     def __call__(self, state: BasisState) -> BasisState:
         row = np.asarray(state, dtype=np.int64).reshape(1, -1)
@@ -683,7 +692,7 @@ def function_spec(
         out[:, wires] = np.asarray(mapped, dtype=np.int64).reshape(-1, len(wires))[group]
         return out
 
-    return PermutationSpec(images)
+    return PermutationSpec(images, wires)
 
 
 def _fires(states: np.ndarray, controls: Sequence[int], values: Sequence[int]) -> np.ndarray:
@@ -728,7 +737,7 @@ def mct_spec(
         out[fires & (digit == j), target] = i
         return out
 
-    return PermutationSpec(images)
+    return PermutationSpec(images, controls + (target,))
 
 
 def mc_shift_spec(
@@ -752,4 +761,4 @@ def mc_shift_spec(
         out[fires, target] = (states[fires, target] + shift) % dim
         return out
 
-    return PermutationSpec(images)
+    return PermutationSpec(images, controls + (target,))

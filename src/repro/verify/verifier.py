@@ -4,15 +4,19 @@
 routes through.  Its methods return a
 :class:`~repro.verify.report.VerificationReport` and never raise on
 divergence themselves (callers that want exceptions use
-:meth:`~repro.verify.report.VerificationReport.raise_if_failed`).  For
+:meth:`~repro.verify.report.VerificationReport.raise_if_failed`); a bad
+argument — a wire outside the register, no expected unitary at all — raises
+:class:`~repro.exceptions.VerificationError` before any tier runs.  For
 each check it runs the structural tier first (always affordable), then picks
 the cheapest *deciding* tier the :class:`~repro.verify.budget.
 VerificationBudget` allows:
 
-* permutation / wire-preservation checks decide at the **dense** tier
-  (exhaustive gather-table enumeration) when the basis fits
-  ``max_basis_states``, else at the **index-propagation** tier (sampled
-  batched :meth:`~repro.ir.table.GateTable.apply_to_indices`);
+* permutation / wire-preservation checks share one tier selection: they
+  decide at the **dense** tier (chunked exhaustive gather-table
+  enumeration) when the basis fits ``max_basis_states``, else at the
+  **index-propagation** tier (one batched
+  :meth:`~repro.ir.table.GateTable.apply_to_indices` pass over seeded
+  samples);
 * unitary checks decide at the **dense** tier (matrix compare) when the
   basis fits ``max_dense_dim``, else at the **sampled-columns** tier when a
   column oracle is available and the basis fits ``max_column_basis``.
@@ -50,8 +54,8 @@ from repro.verify.report import (
 )
 from repro.exceptions import VerificationError
 
-#: Historical default seeds of the sampled checks (kept so failure messages
-#: and replay recipes stay byte-compatible with the pre-tiered helpers).
+#: Default seeds of the sampled checks when the budget names none (fixed so
+#: failure messages and replay recipes stay byte-stable across releases).
 DEFAULT_SPEC_SEED = 7
 DEFAULT_WIRES_SEED = 11
 DEFAULT_COLUMNS_SEED = 13
@@ -84,17 +88,7 @@ class TieredVerifier:
         try:
             stats = checks.structural_check(circuit)
         except VerificationError as exc:
-            report.records.append(
-                TierRecord(
-                    TIER_STRUCTURAL,
-                    TIER_NAMES[TIER_STRUCTURAL],
-                    STATUS_FAILED,
-                    detail=str(exc),
-                )
-            )
-            report.status = STATUS_FAILED
-            report.decided_by = TIER_NAMES[TIER_STRUCTURAL]
-            report.error = str(exc)
+            self._fail(report, TIER_STRUCTURAL, exc)
             return False
         detail = f"{stats['rows']} rows scanned"
         if stats["never_fire_controls"]:
@@ -122,16 +116,12 @@ class TieredVerifier:
         """
         name = TIER_NAMES[tier]
         report.tier_reached = tier
-        report.decided_by = name
         try:
             outcome = kernel()
         except VerificationError as exc:
-            report.records.append(
-                TierRecord(tier, name, STATUS_FAILED, detail=str(exc), seed=seed)
-            )
-            report.status = STATUS_FAILED
-            report.error = str(exc)
+            self._fail(report, tier, exc, seed)
             return report
+        report.decided_by = name
         if isinstance(outcome, tuple):
             checked, replay = outcome
             report.replay = replay
@@ -145,6 +135,17 @@ class TieredVerifier:
         report.status = STATUS_VERIFIED
         report.states_checked = checked
         return report
+
+    @staticmethod
+    def _fail(
+        report: VerificationReport, tier: int, exc: Exception, seed: Optional[int] = None
+    ) -> None:
+        """Finalize ``report`` as failed by ``tier`` with ``exc``'s message."""
+        name = TIER_NAMES[tier]
+        report.records.append(TierRecord(tier, name, STATUS_FAILED, detail=str(exc), seed=seed))
+        report.status = STATUS_FAILED
+        report.decided_by = name
+        report.error = str(exc)
 
     @staticmethod
     def _skip(report: VerificationReport, tier: int, reason: str) -> None:
@@ -163,22 +164,53 @@ class TieredVerifier:
         *,
         clean_wires: Sequence[int] = (),
     ) -> VerificationReport:
-        """Check that ``circuit`` maps basis states exactly as ``spec`` does."""
-        budget = self.budget
-        report = VerificationReport(
-            kind="permutation", circuit=circuit.name, status=STATUS_UNDECIDED
+        """Check that ``circuit`` maps basis states exactly as ``spec`` does.
+
+        ``clean_wires`` lists wires the circuit assumes start in ``|0⟩``;
+        basis states with other values there are outside its contract.
+        """
+        clean = tuple(clean_wires)
+        checks.check_wires("clean wires", clean, circuit.num_wires)
+        checks.check_wires("spec wires", getattr(spec, "wires", ()), circuit.num_wires)
+        return self._classical(
+            "permutation",
+            circuit,
+            lambda: checks.spec_exhaustive(circuit, spec, clean),
+            lambda samples, seed: checks.spec_sampled(circuit, spec, samples, seed, clean),
+            DEFAULT_SPEC_SEED,
         )
+
+    def verify_wires_preserved(
+        self, circuit, wires: Sequence[int]
+    ) -> VerificationReport:
+        """Check that ``circuit`` restores ``wires`` on every basis input."""
+        wires = tuple(wires)
+        checks.check_wires("watched wires", wires, circuit.num_wires)
+        return self._classical(
+            "wires-preserved",
+            circuit,
+            lambda: checks.wires_preserved_exhaustive(circuit, wires),
+            lambda samples, seed: checks.wires_preserved_sampled(circuit, wires, samples, seed),
+            DEFAULT_WIRES_SEED,
+        )
+
+    def _classical(
+        self, kind: str, circuit, exhaustive, sampled, default_seed: int
+    ) -> VerificationReport:
+        """Tier selection of the classical checks: exhaustive when the basis
+        fits ``max_basis_states``, else seeded samples, else undecided."""
+        budget = self.budget
+        report = VerificationReport(kind=kind, circuit=circuit.name, status=STATUS_UNDECIDED)
         if not self._structural(circuit, report):
             return report
         size = checks.basis_size(circuit.dim, circuit.num_wires)
-        clean = tuple(clean_wires)
         if size <= budget.max_basis_states:
             self._skip(report, TIER_INDEX, "subsumed by exhaustive enumeration")
             return self._decide(
                 report,
                 TIER_DENSE,
                 f"exhaustive gather-table enumeration of {size} basis states",
-                lambda: checks.spec_exhaustive(circuit, spec, clean),
+                exhaustive,
             )
         dense_reason = f"basis {size} exceeds max_basis_states={budget.max_basis_states}"
         if budget.samples <= 0:
@@ -187,47 +219,12 @@ class TieredVerifier:
             self._skip(report, TIER_INDEX, "budget draws no samples")
             self._skip(report, TIER_DENSE, dense_reason)
             return report
-        seed = budget.seed if budget.seed is not None else DEFAULT_SPEC_SEED
+        seed = budget.seed if budget.seed is not None else default_seed
         decided = self._decide(
             report,
             TIER_INDEX,
             f"batched index propagation of {budget.samples} sampled states",
-            lambda: checks.spec_sampled(circuit, spec, budget.samples, seed, clean),
-            seed=seed,
-        )
-        self._skip(report, TIER_DENSE, dense_reason)
-        return decided
-
-    def verify_wires_preserved(
-        self, circuit, wires: Sequence[int]
-    ) -> VerificationReport:
-        """Check that ``circuit`` restores ``wires`` on every basis input."""
-        budget = self.budget
-        report = VerificationReport(
-            kind="wires-preserved", circuit=circuit.name, status=STATUS_UNDECIDED
-        )
-        if not self._structural(circuit, report):
-            return report
-        size = checks.basis_size(circuit.dim, circuit.num_wires)
-        if size <= budget.max_basis_states:
-            self._skip(report, TIER_INDEX, "subsumed by exhaustive enumeration")
-            return self._decide(
-                report,
-                TIER_DENSE,
-                f"exhaustive gather-table enumeration of {size} basis states",
-                lambda: checks.wires_preserved_exhaustive(circuit, wires),
-            )
-        dense_reason = f"basis {size} exceeds max_basis_states={budget.max_basis_states}"
-        if budget.samples <= 0:
-            self._skip(report, TIER_INDEX, "budget draws no samples")
-            self._skip(report, TIER_DENSE, dense_reason)
-            return report
-        seed = budget.seed if budget.seed is not None else DEFAULT_WIRES_SEED
-        decided = self._decide(
-            report,
-            TIER_INDEX,
-            f"batched index propagation of {budget.samples} sampled states",
-            lambda: checks.wires_preserved_sampled(circuit, wires, budget.samples, seed),
+            lambda: sampled(budget.samples, seed),
             seed=seed,
         )
         self._skip(report, TIER_DENSE, dense_reason)
@@ -272,18 +269,18 @@ class TieredVerifier:
             def column_fn(col: int, _matrix=matrix) -> np.ndarray:
                 return _matrix[:, col]
 
-        columns_possible = (
-            column_fn is not None
-            and budget.sampled_columns > 0
-            and size <= budget.max_column_basis
-        )
-        dense_possible = (
-            budget.allow_dense
-            and (expected is not None or expected_factory is not None)
-            and size <= budget.max_dense_dim
-        )
+        if column_fn is None:
+            columns_reason = "no column oracle available"
+        elif budget.sampled_columns <= 0:
+            columns_reason = "budget draws no sampled columns"
+        elif size > budget.max_column_basis:
+            columns_reason = f"basis {size} exceeds max_column_basis={budget.max_column_basis}"
+        else:
+            columns_reason = None
+        has_matrix = expected is not None or expected_factory is not None
+        dense_reason = _dense_skip_reason(budget, size, has_matrix)
 
-        if columns_possible and (budget.prefer_columns or not dense_possible):
+        if columns_reason is None and (budget.prefer_columns or dense_reason):
             seed = budget.seed if budget.seed is not None else DEFAULT_COLUMNS_SEED
             decided = self._decide(
                 report,
@@ -301,19 +298,20 @@ class TieredVerifier:
                 ),
                 seed=seed,
             )
-            reason = (
-                "sampled columns decided first (prefer_columns)"
-                if dense_possible
-                else self._dense_skip_reason(budget, size, expected, expected_factory)
+            self._skip(
+                report,
+                TIER_DENSE,
+                dense_reason or "sampled columns decided first (prefer_columns)",
             )
-            self._skip(report, TIER_DENSE, reason)
             return decided
 
-        if dense_possible:
-            if column_fn is None:
-                self._skip(report, TIER_COLUMNS, "no column oracle available")
-            else:
-                self._skip(report, TIER_COLUMNS, "dense compare within budget")
+        if dense_reason is None:
+            self._skip(
+                report,
+                TIER_COLUMNS,
+                "no column oracle available" if column_fn is None
+                else "dense compare within budget",
+            )
 
             def dense_kernel():
                 matrix = expected if expected is not None else expected_factory()
@@ -333,31 +331,9 @@ class TieredVerifier:
             )
 
         # Budget rules out every deciding tier: report undecided, never pass.
-        if column_fn is None:
-            self._skip(report, TIER_COLUMNS, "no column oracle available")
-        elif budget.sampled_columns <= 0:
-            self._skip(report, TIER_COLUMNS, "budget draws no sampled columns")
-        else:
-            self._skip(
-                report,
-                TIER_COLUMNS,
-                f"basis {size} exceeds max_column_basis={budget.max_column_basis}",
-            )
-        self._skip(
-            report,
-            TIER_DENSE,
-            self._dense_skip_reason(budget, size, expected, expected_factory),
-        )
-        report.status = STATUS_UNDECIDED
+        self._skip(report, TIER_COLUMNS, columns_reason)
+        self._skip(report, TIER_DENSE, dense_reason)
         return report
-
-    @staticmethod
-    def _dense_skip_reason(budget, size, expected, expected_factory) -> str:
-        if not budget.allow_dense:
-            return "dense tier disabled by budget"
-        if expected is None and expected_factory is None:
-            return "no expected matrix available"
-        return f"basis {size} exceeds max_dense_dim={budget.max_dense_dim}"
 
     def verify_unitary_clean_ancillas(
         self,
@@ -370,6 +346,8 @@ class TieredVerifier:
         backend=None,
     ) -> VerificationReport:
         """Check ``expected`` on the clean-ancilla ``|0…0⟩`` subspace."""
+        checks.check_wires("data wires", data_wires, circuit.num_wires)
+        checks.check_wires("clean wires", clean_wires, circuit.num_wires)
         budget = self.budget
         report = VerificationReport(
             kind="unitary-clean-ancillas", circuit=circuit.name, status=STATUS_UNDECIDED
@@ -378,14 +356,11 @@ class TieredVerifier:
             return report
         size = checks.basis_size(circuit.dim, circuit.num_wires)
         tolerance = budget.atol if budget.atol is not None else atol
-        if not (budget.allow_dense and size <= budget.max_dense_dim):
+        dense_reason = _dense_skip_reason(budget, size, has_matrix=True)
+        if dense_reason:
             # The subspace check needs the full matrix; no cheaper tier can
             # decide it, so an insufficient budget means undecided.
-            self._skip(
-                report,
-                TIER_DENSE,
-                self._dense_skip_reason(budget, size, expected, None),
-            )
+            self._skip(report, TIER_DENSE, dense_reason)
             return report
         return self._decide(
             report,
@@ -400,3 +375,14 @@ class TieredVerifier:
                 backend=backend,
             ),
         )
+
+
+def _dense_skip_reason(budget: VerificationBudget, size: int, has_matrix: bool) -> Optional[str]:
+    """Why the dense tier cannot run, or ``None`` when it can."""
+    if not budget.allow_dense:
+        return "dense tier disabled by budget"
+    if not has_matrix:
+        return "no expected matrix available"
+    if size > budget.max_dense_dim:
+        return f"basis {size} exceeds max_dense_dim={budget.max_dense_dim}"
+    return None

@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import VerificationError
 from repro.sim.verify import assert_implements_permutation, sample_basis_states
+from repro.verify import VerificationBudget
 from repro.utils.indexing import iterate_basis
 
 #: Seed of ``exhaustive_states``'s deterministic fallback sample (the
@@ -49,7 +50,9 @@ def circuit_matches_function(circuit, spec, limit: int = 250_000) -> bool:
     (exhaustive below ``limit`` basis states, seeded-sample fallback above).
     """
     try:
-        assert_implements_permutation(circuit, spec, max_states=limit)
+        assert_implements_permutation(
+            circuit, spec, budget=VerificationBudget(max_basis_states=limit)
+        )
     except VerificationError:
         return False
     return True

@@ -16,12 +16,10 @@ from repro.sim import (
     assert_wires_preserved,
     circuit_unitary,
     controlled_unitary_matrix,
-    function_table,
     multi_controlled_unitary_matrix,
+    permutation_index_table,
     permutation_parity,
-    permutation_table,
 )
-from repro.sim.permutation import states_differing_on
 
 
 def x01_controlled_circuit(dim=3):
@@ -51,22 +49,23 @@ class TestPermutationSim:
             apply_to_basis(circuit, (0,))
 
     def test_permutation_table_is_permutation(self):
-        table = permutation_table(x01_controlled_circuit())
-        assert sorted(table) == list(range(9))
+        table = permutation_index_table(x01_controlled_circuit())
+        assert np.array_equal(np.sort(table), np.arange(9))
 
-    def test_function_table(self):
-        table = function_table(x01_controlled_circuit())
-        assert table[(0, 1)] == (0, 0)
+    def test_permutation_index_table_images(self):
+        # |0>-X01 swaps |0,0> and |0,1> (flat 0 and 1), fixes the rest.
+        table = permutation_index_table(x01_controlled_circuit())
+        assert np.array_equal(table, [1, 0, 2, 3, 4, 5, 6, 7, 8])
 
     def test_permutation_parity_single_transposition(self):
         # |0>-X01 on two qutrits swaps exactly 1 pair of basis states per
         # control value 0 -> parity = number of transpositions mod 2 = 1.
         assert permutation_parity(x01_controlled_circuit(3)) == 1
 
-    def test_states_differing_on(self):
-        offenders = states_differing_on(x01_controlled_circuit(), [1])
-        assert ((0, 0), (0, 1)) in offenders
-        assert all(state[0] == 0 for state, _ in offenders)
+    def test_wires_preserved_names_the_first_offender(self):
+        with pytest.raises(VerificationError) as info:
+            assert_wires_preserved(x01_controlled_circuit(), [1])
+        assert str(info.value) == "circuit 'cx01' modified wires [1] on input (0, 0): (0, 1)"
 
 
 class TestStatevector:

@@ -11,8 +11,8 @@ The sparse contract has two halves:
   threshold, and stays total (every circuit dense accepts, sparse accepts).
 
 The batched-verification layer underneath
-(:meth:`repro.ir.table.GateTable.apply_to_indices`, the sampled branches of
-the ``assert_*`` helpers, :func:`assert_unitary_columns_equiv`) is what
+(:meth:`repro.ir.table.GateTable.apply_to_indices`, the sampled tiers of
+the ``assert_*`` helpers, the sampled-columns unitary tier) is what
 makes registers beyond any statevector *verified* rather than trusted, so
 its failure messages — seed, failing row, replay recipe — are pinned here
 too.
@@ -42,11 +42,11 @@ from repro.sim import (
 )
 from repro.sim.verify import (
     assert_implements_permutation,
-    assert_unitary_columns_equiv,
     assert_wires_preserved,
     sample_basis_states,
 )
 from repro.synth import synthesize
+from repro.verify import UNBOUNDED, TieredVerifier, VerificationBudget
 from repro.utils import permutations as perm_utils
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -433,7 +433,10 @@ class TestHugeRegister:
         # apply_to_indices pass — milliseconds where a dense statevector
         # would need ~18.6 GB.
         assert_mct_spec(
-            result.circuit, result.controls, result.target, max_states=1000, samples=128
+            result.circuit,
+            result.controls,
+            result.target,
+            budget=VerificationBudget(max_basis_states=1000, samples=128),
         )
 
 
@@ -626,6 +629,18 @@ class TestIndexPlan:
 # ----------------------------------------------------------------------
 # Batched sampled verification: recipes, rows, column sampling
 # ----------------------------------------------------------------------
+def check_columns(circuit, expected_column, *, samples, **kwargs):
+    """The sampled-columns tier alone: ``samples`` seeded columns, any basis."""
+    budget = VerificationBudget(
+        sampled_columns=samples, seed=13, max_column_basis=UNBOUNDED, allow_dense=False
+    )
+    return (
+        TieredVerifier(budget)
+        .verify_unitary(circuit, expected_column=expected_column, **kwargs)
+        .raise_if_failed()
+    )
+
+
 class TestSampledVerification:
     def test_sampled_permutation_failure_names_row_and_recipe(self):
         circuit = QuditCircuit(3, 3, name="idc")  # identity
@@ -637,7 +652,9 @@ class TestSampledVerification:
 
         with pytest.raises(VerificationError) as excinfo:
             assert_implements_permutation(
-                circuit, expect_flip, max_states=1, samples=20, seed=7
+                circuit,
+                expect_flip,
+                budget=VerificationBudget(max_basis_states=1, samples=20, seed=7),
             )
         message = str(excinfo.value)
         assert "failing row 0" in message
@@ -649,7 +666,9 @@ class TestSampledVerification:
         circuit = QuditCircuit(2, 3, name="mover")
         circuit.add_gate(XPlus(3, 1), 0)
         with pytest.raises(VerificationError, match="failing row"):
-            assert_wires_preserved(circuit, [0], max_states=1, samples=16, seed=11)
+            assert_wires_preserved(
+                circuit, [0], budget=VerificationBudget(max_basis_states=1, samples=16, seed=11)
+            )
 
     def test_sampled_branch_agrees_with_exhaustive(self):
         circuit = mixed_circuit(6, num_ops=10, unitary=False)
@@ -663,7 +682,8 @@ class TestSampledVerification:
             return tuple((image // 3 ** (2 - w)) % 3 for w in range(3))
 
         assert_implements_permutation(circuit, spec)  # exhaustive
-        assert_implements_permutation(circuit, spec, max_states=1, samples=64)  # sampled
+        sampled = VerificationBudget(max_basis_states=1, samples=64)
+        assert_implements_permutation(circuit, spec, budget=sampled)
 
     def test_column_sampled_unitary_check_accepts_the_truth(self):
         circuit = QuditCircuit(2, 2, name="h0")
@@ -676,7 +696,7 @@ class TestSampledVerification:
             vector[2 + low] = HADAMARD[1, high]
             return vector
 
-        assert_unitary_columns_equiv(circuit, expected_column, samples=4)
+        check_columns(circuit, expected_column, samples=4)
 
     def test_column_sampled_unitary_check_rejects_a_corrupted_circuit(self):
         circuit = QuditCircuit(2, 2, name="h0-broken")
@@ -691,7 +711,7 @@ class TestSampledVerification:
             return vector
 
         with pytest.raises(VerificationError, match="sampled-column"):
-            assert_unitary_columns_equiv(circuit, expected_column, samples=4)
+            check_columns(circuit, expected_column, samples=4)
 
     def test_column_sampled_check_rejects_non_global_phase(self):
         # diag(1, i) deviates per column: with up_to_global_phase=True the
@@ -708,7 +728,7 @@ class TestSampledVerification:
             return vector
 
         with pytest.raises(VerificationError, match="not a global phase"):
-            assert_unitary_columns_equiv(
+            check_columns(
                 circuit,
                 expected_column,
                 samples=1,
@@ -722,10 +742,11 @@ class TestSampledVerification:
         from repro.synth.registry import get as get_strategy
 
         strategy = get_strategy("mcu-exponential")
-        assert strategy.supports_sampled_columns
         result = synthesize("mcu-exponential", 3, 7)
         assert result.circuit.dim**result.circuit.num_wires > 1024
-        strategy.verify(result, 3, 7, sampled_columns=4)
+        budget = VerificationBudget(sampled_columns=4, allow_dense=False)
+        report = strategy.verify(result, 3, 7, budget=budget)
+        assert report.decided_by == "sampled-columns" and report.states_checked == 7
 
 
 # ----------------------------------------------------------------------

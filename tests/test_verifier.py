@@ -28,15 +28,16 @@ from repro.sim import (
     assert_implements_permutation,
     assert_mct_spec,
     assert_unitary_equiv,
+    assert_wires_preserved,
     mc_shift_spec,
     mct_spec,
 )
-from repro.sim.verify import assert_unitary_columns_equiv
 from repro.verify import (
     PRESET_NAMES,
     TIER_DENSE,
     TIER_INDEX,
     TIER_STRUCTURAL,
+    UNBOUNDED,
     TieredVerifier,
     VerificationBudget,
     VerificationReport,
@@ -54,6 +55,18 @@ def cx01_circuit(dim=3, num_wires=2, name="cx01"):
 
 def cx01_spec(dim, num_wires):
     return mct_spec([0], num_wires - 1, dim)
+
+
+def check_columns(circuit, expected_column, *, samples=8, **kwargs):
+    """The sampled-columns tier alone: ``samples`` seeded columns, any basis."""
+    budget = VerificationBudget(
+        sampled_columns=samples, seed=13, max_column_basis=UNBOUNDED, allow_dense=False
+    )
+    return (
+        TieredVerifier(budget)
+        .verify_unitary(circuit, expected_column=expected_column, **kwargs)
+        .raise_if_failed()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +88,7 @@ class TestGlobalPhaseScaling:
         circuit, matrix = self.fourier_circuit()
         scaled = 2.0 * matrix
         with pytest.raises(VerificationError, match="not a unit phase"):
-            assert_unitary_columns_equiv(
+            check_columns(
                 circuit,
                 lambda col: scaled[:, col],
                 required_columns=(0,),
@@ -86,7 +99,7 @@ class TestGlobalPhaseScaling:
         circuit, matrix = self.fourier_circuit()
         rotated = np.exp(0.7j) * matrix
         assert assert_unitary_equiv(circuit, rotated, up_to_global_phase=True).ok
-        assert assert_unitary_columns_equiv(
+        assert check_columns(
             circuit,
             lambda col: rotated[:, col],
             required_columns=(0, 1, 2),
@@ -160,12 +173,14 @@ class TestInt64Guard:
     def test_permutation_check_surfaces_guard(self):
         circuit = self.huge_circuit()
         with pytest.raises(VerificationError, match="int64"):
-            assert_implements_permutation(circuit, lambda s: s, samples=4)
+            assert_implements_permutation(
+                circuit, lambda s: s, budget=VerificationBudget(samples=4)
+            )
 
     def test_sampled_columns_surface_guard(self):
         circuit = self.huge_circuit()
         with pytest.raises(VerificationError, match="int64"):
-            assert_unitary_columns_equiv(circuit, lambda col: None, samples=1)
+            check_columns(circuit, lambda col: None, samples=1)
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +489,10 @@ class TestArraySpecs:
         assert checks.spec_images(flip, states).tolist() == [[0, 0], [1, 0]]
         # A wrong-length image can never match: the adapter marks the row.
         short = lambda s: s[:1]  # noqa: E731
-        assert checks.first_mismatch(short, states, states) == 0
+        assert (checks.spec_images(short, states) != states).any(axis=1).tolist() == [
+            True,
+            True,
+        ]
 
     def test_clean_wires_restrict_the_exhaustive_basis(self):
         circuit = cx01_circuit(dim=3, num_wires=3)
@@ -506,6 +524,10 @@ def scalar_mct(result):
     return spec
 
 
+#: Sampled tier only: 300 seeded states (the sampled-message tests below).
+SAMPLED_300 = VerificationBudget(max_basis_states=1, samples=300)
+
+
 class TestFirstFailingState:
     """Both kernels report the first failing state with the historical message."""
 
@@ -532,7 +554,7 @@ class TestFirstFailingState:
         result = broken_mct()
         spec = mct_spec(result.controls, result.target, 3) if array_spec else scalar_mct(result)
         with pytest.raises(VerificationError) as info:
-            assert_implements_permutation(result.circuit, spec, max_states=1, samples=300)
+            assert_implements_permutation(result.circuit, spec, budget=SAMPLED_300)
         assert str(info.value) == self.SAMPLED
 
     def test_chunk_boundaries_keep_the_first_failure(self, monkeypatch):
@@ -559,10 +581,175 @@ class TestFirstFailingState:
         )
         with pytest.raises(VerificationError) as info:
             assert_permutation_equals_function(
-                result.circuit, function, max_states=1, samples=300, **kwargs
+                result.circuit, function, budget=SAMPLED_300, **kwargs
             )
         assert str(info.value) == (
             "circuit 'increment(d=3, n=3)' maps (1, 2, 1, 0) to (1, 0, 2, 0), "
             "expected (1, 2, 2, 0) (sampled check, seed=7, failing row 19; rerun with "
             "sample_basis_states(3, 4, 300, 7, clean_wires=(3,))[19])"
         )
+
+    WIRES_EXHAUSTIVE = (
+        "circuit 'MCT_odd(k=3, d=3)' modified wires [1] on input (2, 1, 0, 0): (2, 2, 0, 0)"
+    )
+    WIRES_SAMPLED = (
+        "circuit 'MCT_odd(k=3, d=3)' modified wires [1] on input (2, 1, 0, 1): "
+        "(2, 2, 0, 1) (sampled check, seed=11, failing row 5; rerun with "
+        "sample_basis_states(3, 4, 300, 11)[5])"
+    )
+
+    @staticmethod
+    def moves_wire_one():
+        """mct d=3 k=3 plus a gate that moves control wire 1 on |2,1,0,·>."""
+        from repro.synth import synthesize
+
+        result = synthesize("mct", 3, 3)
+        result.circuit.add_gate(
+            XPerm.transposition(3, 1, 2), 1, [(0, Value(2)), (2, Value(0))]
+        )
+        return result
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_wires_preserved_messages(self, monkeypatch, chunk):
+        if chunk is not None:
+            # The first offender, flat index 63, then starts the 10th block.
+            monkeypatch.setattr(checks, "EXHAUSTIVE_CHUNK", chunk)
+        circuit = self.moves_wire_one().circuit
+        exhaustive = TieredVerifier("standard").verify_wires_preserved(circuit, [0, 1, 2])
+        assert exhaustive.decided_by == "dense"
+        assert exhaustive.error == self.WIRES_EXHAUSTIVE
+        sampled = TieredVerifier(SAMPLED_300.replace(seed=11)).verify_wires_preserved(
+            circuit, [0, 1, 2]
+        )
+        assert sampled.decided_by == "index-propagation"
+        assert sampled.error == self.WIRES_SAMPLED
+        kept = TieredVerifier("standard").verify_wires_preserved(circuit, [0, 2])
+        assert kept.ok and kept.states_checked == 81
+
+    def test_exhaustive_wires_check_memory_is_chunked(self):
+        import tracemalloc
+
+        from repro.synth import synthesize
+
+        result = synthesize("mct", 3, 11)  # 12 wires, 531,441 basis states
+        circuit = result.circuit
+        circuit.to_table().permutation_index_table()  # warm gather table
+        tracemalloc.start()
+        try:
+            checked = checks.wires_preserved_exhaustive(circuit, result.controls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert checked == 3**12
+        assert peak < 64 * 2**20
+
+
+# ----------------------------------------------------------------------
+# Wire arguments are range-checked before any kernel runs
+# ----------------------------------------------------------------------
+class TestWireRanges:
+    @staticmethod
+    def mct():
+        from repro.synth import synthesize
+
+        return synthesize("mct", 3, 3)  # 4 wires
+
+    @pytest.mark.parametrize("budget", ["standard", "smoke"])
+    def test_watched_wire_past_the_register(self, budget):
+        with pytest.raises(VerificationError, match=r"watched wires \[99\] out of range for 4"):
+            assert_wires_preserved(self.mct().circuit, [99], budget=budget)
+
+    def test_negative_watched_wire_is_not_aliased(self):
+        with pytest.raises(VerificationError, match=r"watched wires \[-1\]"):
+            assert_wires_preserved(self.mct().circuit, [-1])
+
+    def test_spec_target_past_the_register(self):
+        result = self.mct()
+        with pytest.raises(VerificationError, match=r"spec wires \[99\]"):
+            assert_mct_spec(result.circuit, result.controls, 99)
+
+    def test_negative_spec_control_is_not_aliased(self):
+        result = self.mct()
+        spec = mct_spec([-1], result.target, 3)
+        with pytest.raises(VerificationError, match=r"spec wires \[-1\]"):
+            assert_implements_permutation(result.circuit, spec)
+
+    def test_clean_wire_past_the_register(self):
+        result = self.mct()
+        with pytest.raises(VerificationError, match=r"clean wires \[99\]"):
+            assert_mct_spec(result.circuit, result.controls, result.target, clean_wires=[99])
+
+    def test_function_wire_past_the_register(self):
+        from repro.sim import assert_permutation_equals_function
+
+        with pytest.raises(VerificationError, match=r"spec wires \[99\]"):
+            assert_permutation_equals_function(self.mct().circuit, lambda d: d, [99])
+
+    def test_clean_ancilla_unitary_wires(self):
+        from repro.sim import assert_unitary_equiv_with_clean_ancillas
+
+        circuit = QuditCircuit(2, 2, name="pair")
+        with pytest.raises(VerificationError, match=r"data wires \[2\]"):
+            assert_unitary_equiv_with_clean_ancillas(circuit, np.eye(2), [2], [1])
+
+
+# ----------------------------------------------------------------------
+# The clean-ancilla subspace kernel
+# ----------------------------------------------------------------------
+def loop_clean_subspace(full, dim, num_wires, data_wires, clean_wires):
+    """Per-amplitude reference: the data-wire block and the largest leak."""
+    size_data = dim ** len(data_wires)
+    block = np.zeros((size_data, size_data), dtype=complex)
+    leakage = 0.0
+    for col_data in range(size_data):
+        digits = [0] * num_wires
+        rest = col_data
+        for wire in reversed(data_wires):
+            digits[wire], rest = rest % dim, rest // dim
+        col = int(np.dot(digits, [dim ** (num_wires - 1 - w) for w in range(num_wires)]))
+        for row, amplitude in enumerate(full[:, col]):
+            if abs(amplitude) < 1e-14:
+                continue
+            row_digits = [(row // dim ** (num_wires - 1 - w)) % dim for w in range(num_wires)]
+            if any(row_digits[w] for w in clean_wires):
+                leakage = max(leakage, abs(amplitude))
+                continue
+            row_data = 0
+            for wire in data_wires:
+                row_data = row_data * dim + row_digits[wire]
+            block[row_data, col_data] += amplitude
+    return block, leakage
+
+
+class TestCleanSubspace:
+    @staticmethod
+    def circuit(dim=3):
+        """A Fourier gate on wire 2, then X01 on wire 0 controlled by wire 2."""
+        circuit = QuditCircuit(3, dim, name="sub")
+        fourier = np.fft.fft(np.eye(dim)) / np.sqrt(dim)
+        circuit.add_gate(SingleQuditUnitary(fourier), 2)
+        circuit.add_gate(XPerm.transposition(dim, 0, 1), 0, [(2, Value(1))])
+        return circuit
+
+    def test_block_matches_the_per_amplitude_reference(self):
+        from repro.sim import circuit_unitary
+
+        circuit = self.circuit()
+        for data, clean in (([0, 2], [1]), ([2, 0], [1]), ([2], [1])):
+            block, leakage = loop_clean_subspace(circuit_unitary(circuit), 3, 3, data, clean)
+            assert leakage == 0.0
+            assert checks.unitary_clean_subspace(circuit, block, data, clean, atol=0) == len(block)
+
+    def test_leak_into_a_nonzero_ancilla_state(self):
+        circuit = self.circuit()
+        circuit.add_gate(XPerm.transposition(3, 0, 1), 1)  # writes the clean wire
+        leak = "leaks amplitude 5.774e-01 into non-zero ancilla states"
+        with pytest.raises(VerificationError, match=leak):
+            checks.unitary_clean_subspace(circuit, np.eye(9), [0, 2], [1])
+
+    def test_wrong_data_unitary(self):
+        circuit = self.circuit()
+        with pytest.raises(
+            VerificationError, match="deviates .* on the clean-ancilla subspace"
+        ):
+            checks.unitary_clean_subspace(circuit, np.eye(9), [0, 2], [1])
