@@ -7,7 +7,12 @@ Verifies a lowered multi-controlled Toffoli and times each path:
   applied to every one of the ``d^n`` basis states in a pure-Python loop;
 * ``vectorized table`` — the whole-basis gather table of the lowered circuit;
 * ``statevector[...]`` — a uniform statevector swept through the lowered
-  circuit on every registered engine (``dense``, ``sparse``, ``streaming``).
+  circuit on every registered engine (``dense``, ``sparse``, ``streaming``);
+* ``unitary rows`` — a ``(d^n, 64)`` batch through the multi-controlled-unitary
+  synthesis (``mcu-exponential``, d=3, k=5; k=4 with ``--quick``) on the
+  dense engine: the fused fired-slice ``apply_table`` against the per-op
+  ``apply_op`` walk (one masked whole-cube einsum per row).  Their ratio is
+  ``unitary_row_speedup``, guarded by ``floors.json``.
 
 The vectorized table must equal the legacy one bit for bit, every engine
 must produce the same amplitudes and pass the same ``repro.sim.assert_*``
@@ -47,13 +52,18 @@ from repro.sim import (
     available_backends,
     circuit_unitary,
     multi_controlled_unitary_matrix,
+    get_backend,
     permutation_index_table,
 )
 from repro.core.multi_controlled_unitary import random_unitary_gate, synthesize_mcu
+from repro.synth import synthesize
 from repro.utils.indexing import digits_to_index, iterate_basis
 
 #: Required legacy-vs-vectorized speedup for the full (non --quick) case.
 SPEEDUP_FLOOR = 10.0
+
+#: States evolved at once in the unitary-row case.
+UNITARY_BATCH = 64
 
 
 def legacy_permutation_table(circuit):
@@ -72,6 +82,41 @@ def timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def best_of(fn, repeats=5):
+    """``(result, fastest seconds)`` over ``repeats`` calls."""
+    runs = [timed(fn) for _ in range(repeats)]
+    return runs[0][0], min(seconds for _, seconds in runs)
+
+
+def unitary_rows_case(num_controls):
+    """Fused fired-slice ``apply_table`` vs the per-op ``apply_op`` walk."""
+    circuit = synthesize("mcu-exponential", 3, num_controls).circuit
+    table = circuit.to_table()
+    dense = get_backend("dense")
+    rng = np.random.default_rng(3)
+    shape = (3**circuit.num_wires, UNITARY_BATCH)
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def per_op():
+        data = batch
+        for op in circuit.ops:
+            data = dense.apply_op(data, op, circuit.dim, circuit.num_wires)
+        return data
+
+    fused, fused_seconds = best_of(lambda: dense.apply_table_batch(batch, table))
+    walked, walk_seconds = best_of(per_op)
+    if not np.allclose(fused, walked, atol=1e-10):
+        raise SystemExit("FAIL: fused unitary rows diverge from the per-op walk")
+    return {
+        "num_controls": num_controls,
+        "rows": len(table),
+        "basis_states": shape[0],
+        "batch": UNITARY_BATCH,
+        "fused_seconds": fused_seconds,
+        "per_op_seconds": walk_seconds,
+    }
 
 
 def main() -> int:
@@ -144,11 +189,21 @@ def main() -> int:
             return 1
     print(f"verify checks passed identically on backends: {', '.join(names)}")
 
+    unitary = unitary_rows_case(4 if args.quick else 5)
+    unitary_row_speedup = unitary["per_op_seconds"] / unitary["fused_seconds"]
+    print(
+        f"unitary rows: mcu-exponential d=3 k={unitary['num_controls']}, "
+        f"{unitary['rows']} rows, B={UNITARY_BATCH}: fused/per-op speedup "
+        f"{unitary_row_speedup:.1f}x"
+    )
+
     rows = [
         {"engine": "legacy (seed per-index loop)", "seconds": round(legacy_seconds, 4)},
         {"engine": "vectorized table (cold cache)", "seconds": round(cold_seconds, 4)},
         {"engine": "vectorized table (warm cache)", "seconds": round(warm_seconds, 6)},
         *backend_rows,
+        {"engine": "unitary rows (per-op apply_op)", "seconds": round(unitary["per_op_seconds"], 4)},
+        {"engine": "unitary rows (fused apply_table)", "seconds": round(unitary["fused_seconds"], 4)},
     ]
     table = render_table(
         rows,
@@ -175,6 +230,8 @@ def main() -> int:
         },
         "speedup": speedup,
         "speedup_floor": None if args.quick else SPEEDUP_FLOOR,
+        "unitary_rows": unitary,
+        "unitary_row_speedup": unitary_row_speedup,
     }
     emit_json(stem, payload)
 

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import ReproError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
@@ -363,7 +365,7 @@ def _verify_macro(request: WorkloadRequest, strategy_name: str) -> Dict[str, obj
 def _simulate(request: WorkloadRequest, circuit) -> List[str]:
     """Evolve the request's basis states (default ``|0...0⟩``) as one batch."""
     from repro.sim import BatchedStatevector, get_backend
-    from repro.utils.indexing import digits_to_index, indices_to_digits
+    from repro.utils.indexing import indices_to_digits
 
     rows = request.states or ((0,) * circuit.num_wires,)
     for i, digits in enumerate(rows):
@@ -372,28 +374,38 @@ def _simulate(request: WorkloadRequest, circuit) -> List[str]:
                 f"simulate state {i} has {len(digits)} digits, circuit has "
                 f"{circuit.num_wires} wires"
             )
-        bad = [x for x in digits if not 0 <= x < request.dim]
-        if bad:
-            raise WorkloadError(
-                f"simulate state {i} digit {bad[0]} out of range for d={request.dim}"
-            )
+    states = np.asarray(rows, dtype=np.int64).reshape(len(rows), circuit.num_wires)
+    bad = np.argwhere((states < 0) | (states >= request.dim))
+    if bad.size:
+        i, wire = (int(x) for x in bad[0])
+        raise WorkloadError(
+            f"simulate state {i} digit {int(states[i, wire])} out of range for d={request.dim}"
+        )
     if circuit.is_permutation:
         # Classical batched path: propagate the B flat indices only.
-        indices = [digits_to_index(digits, request.dim) for digits in rows]
-        images = circuit.to_table().apply_to_indices(indices)
-        digits = indices_to_digits(images, request.dim, circuit.num_wires)
-        return ["".join(str(int(x)) for x in row) for row in digits]
-    if request.memory_budget is not None:
-        from repro.sim.streaming import StreamingBackend
-
-        backend = StreamingBackend(request.memory_budget)
+        strides = request.dim ** np.arange(circuit.num_wires - 1, -1, -1, dtype=np.int64)
+        images = circuit.to_table().apply_to_indices(states @ strides)
     else:
-        backend = get_backend(request.backend)
-    batch = BatchedStatevector.from_basis_states(
-        list(rows), request.dim, backend=backend
-    )
-    batch.apply_circuit(circuit)
-    return ["".join(map(str, digits)) for digits in batch.most_probable()]
+        if request.memory_budget is not None:
+            from repro.sim.streaming import StreamingBackend
+
+            backend = StreamingBackend(request.memory_budget)
+        else:
+            backend = get_backend(request.backend)
+        batch = BatchedStatevector.from_basis_states(
+            list(rows), request.dim, backend=backend
+        )
+        batch.apply_circuit(circuit)
+        images = np.argmax(batch.probabilities(), axis=0)
+    return _digit_strings(indices_to_digits(images, request.dim, circuit.num_wires))
+
+
+def _digit_strings(digits: np.ndarray) -> List[str]:
+    """Each row of a ``(B, n)`` digit matrix as its concatenated decimal digits."""
+    if digits.size and int(digits.max()) > 9:
+        return ["".join(map(str, row)) for row in digits.tolist()]
+    chars = np.ascontiguousarray(digits + ord("0"), dtype=np.uint8)
+    return chars.view(f"S{digits.shape[1]}").ravel().astype(str).tolist()
 
 
 # ----------------------------------------------------------------------

@@ -505,8 +505,8 @@ class GateTable:
         """The table's action on the full flat basis as one gather array.
 
         Delegates to the segment layer: a permutation table is one maximal
-        segment spanning every row, composed once (one cached gather per
-        *distinct* row) and interned on the pools so derived tables share it.
+        segment spanning every row, composed once by the fired-slice kernel
+        and interned on the pools so derived tables share it.
         """
         if not self.is_permutation:
             raise GateError(

@@ -14,7 +14,7 @@ Two operation kinds exist:
   controlled gates.
 
 Both kinds know how to apply themselves to a classical basis state (what the
-scalar permutation simulator needs) and additionally expose three vectorized
+scalar permutation simulator needs) and additionally expose four vectorized
 hooks consumed by the simulation backends in :mod:`repro.sim.backend`:
 
 * :meth:`BaseOp.permutation_table` — the operation's action on the whole
@@ -29,12 +29,19 @@ hooks consumed by the simulation backends in :mod:`repro.sim.backend`:
   (:func:`repro.ir.index_plan.reference_apply_to_indices`) that the
   production index kernel, the window plans behind
   :meth:`repro.ir.table.GateTable.apply_to_indices` and the sparse engine,
-  is checked against.
+  is checked against;
+* :meth:`BaseOp.fired_slices` / :meth:`BaseOp.slice_cycles` — the fired
+  block of the ``(d,) * n`` basis view as basic-index tuples (each control
+  axis fixed to its firing value(s)), and the permutation's moves on it as
+  cycles of such tuples.  The fused segment kernels
+  (:func:`repro.ir.segment.compose_gather`, the backends' unitary rows)
+  touch only those states.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import product
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +93,29 @@ def predicate_fires_vector(predicate: ControlPredicate, dim: int) -> np.ndarray:
             _FIRES_VECTOR_CACHE.pop(next(iter(_FIRES_VECTOR_CACHE)))
         _FIRES_VECTOR_CACHE[key] = fires
     return fires
+
+
+def value_slices(values: Sequence[int]) -> List[Union[int, slice]]:
+    """Cover sorted digit ``values`` with basic indices along one axis.
+
+    A single value is an ``int`` (the axis drops out of the view); each
+    maximal run with a constant step (``Odd`` and ``EvenNonZero`` are one
+    such run each) is one ``slice``.
+    """
+    covers: List[Union[int, slice]] = []
+    i = 0
+    while i < len(values):
+        j = i + 1
+        if j < len(values):
+            step = values[j] - values[i]
+            while j + 1 < len(values) and values[j + 1] - values[j] == step:
+                j += 1
+            covers.append(slice(values[i], values[j] + 1, step))
+            i = j + 1
+        else:
+            covers.append(values[i])
+            i = j
+    return covers
 
 
 def _normalize_controls(controls: Sequence[Control]) -> Tuple[Control, ...]:
@@ -204,6 +234,75 @@ class BaseOp:
             mask &= fires[(indices // stride) % dim]
         return mask
 
+    def fired_slices(self, dim: int, num_wires: int) -> Tuple[tuple, ...]:
+        """Basic-index tuples covering exactly the states where every control fires.
+
+        Each tuple has one entry per wire of the ``(dim,) * num_wires`` view:
+        a control wire holds an ``int`` or a ``slice`` over its firing values
+        (:func:`value_slices`), every other wire ``slice(None)``.  One tuple
+        per combination of control covers, so the tuples are disjoint; a
+        control that never fires leaves none.  Cached per ``(dim,
+        num_wires)``.
+        """
+        cache = self.__dict__.setdefault("_fired_slices_cache", {})
+        key = (dim, num_wires)
+        slices = cache.get(key)
+        if slices is None:
+            choices: List[list] = [[slice(None)] for _ in range(num_wires)]
+            for wire, predicate in self.controls:
+                if not 0 <= wire < num_wires:
+                    raise WireError(f"control wire {wire} out of range for {num_wires} wires")
+                choices[wire] = value_slices(predicate.values(dim))
+            slices = tuple(product(*choices))
+            cache[key] = slices
+        return slices
+
+    def slice_cycles(self, dim: int, num_wires: int) -> Tuple[Tuple[tuple, ...], ...]:
+        """The permutation's moves on its fired block, as cycles of index tuples.
+
+        A cycle ``(x0, x1, ..., xm)`` of basic-index tuples over the
+        ``(dim,) * num_wires`` view lists states in the order the row moves
+        them: the states at ``x_i`` map to ``x_(i+1)``, and ``xm`` back to
+        ``x0``.  Composing an index table ``h`` with the row on the index
+        side, ``h_new[i] = h[p(i)]``, is then ``h[x_i] <- h[x_(i+1)]`` around
+        the cycle.  Only the local states of the non-control wires that the
+        row actually moves appear (at most ``d^2`` for a star shift), once
+        per fired slice.  Cached per ``(dim, num_wires)``.
+        """
+        if not self.is_permutation:
+            raise GateError(f"{self!r} is not a permutation operation")
+        cache = self.__dict__.setdefault("_slice_cycles_cache", {})
+        key = (dim, num_wires)
+        cycles = cache.get(key)
+        if cycles is None:
+            for wire in self.wires():
+                if not 0 <= wire < num_wires:
+                    raise WireError(f"wire {wire} out of range for {num_wires} wires")
+            free, image = self._local_permutation(dim)
+            local_cycles, seen = [], set()
+            for start in image:
+                if start in seen or image[start] == start:
+                    continue
+                cycle = [start]
+                while image[cycle[-1]] != start:
+                    cycle.append(image[cycle[-1]])
+                seen.update(cycle)
+                local_cycles.append([dict(zip(free, state)) for state in cycle])
+            cycles = tuple(
+                tuple(
+                    tuple(pinned.get(wire, entry) for wire, entry in enumerate(fired))
+                    for pinned in cycle
+                )
+                for fired in self.fired_slices(dim, num_wires)
+                for cycle in local_cycles
+            )
+            cache[key] = cycles
+        return cycles
+
+    def _local_permutation(self, dim: int) -> Tuple[Tuple[int, ...], dict]:
+        """``(wires, image)``: the action on the non-control wires' local states."""
+        raise NotImplementedError
+
     def map_indices(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
         """Images of a batch of flat basis indices under this operation.
 
@@ -283,6 +382,10 @@ class Operation(BaseOp):
         if self.controls:
             delta = np.where(self.controls_fire_flat(indices, dim, num_wires), delta, 0)
         return indices + delta
+
+    def _local_permutation(self, dim: int) -> Tuple[Tuple[int, ...], dict]:
+        perm = self.gate.permutation()
+        return (self.target,), {(v,): (perm[v],) for v in range(dim)}
 
     def is_g_gate(self, dim: int) -> bool:
         """Return True if the operation belongs to the paper's gate set G.
@@ -376,6 +479,14 @@ class StarShiftOp(BaseOp):
         if self.controls:
             delta = np.where(self.controls_fire_flat(indices, dim, num_wires), delta, 0)
         return indices + delta
+
+    def _local_permutation(self, dim: int) -> Tuple[Tuple[int, ...], dict]:
+        image = {
+            (star, v): (star, (v + self.sign * star) % dim)
+            for star in range(dim)
+            for v in range(dim)
+        }
+        return (self.star_wire, self.target), image
 
     def is_g_gate(self, dim: int) -> bool:
         return False

@@ -6,11 +6,17 @@ G-gates) take minutes.  This module replaces that with a small registry of
 *backends*, each of which applies one operation to the amplitude data with
 fully vectorized numpy — no per-index Python loop anywhere:
 
-* ``dense`` — keeps the state as a flat array; a permutation operation is a
-  single gather through the precomputed index table cached on the op
-  (:meth:`repro.qudit.operations.BaseOp.permutation_table`), a controlled
-  unitary is one ``einsum`` over the target-axis blocks masked by the
-  vectorized control predicate.
+* ``dense`` — keeps the state as a flat array.  Its fused table path
+  (:meth:`SimulationBackend.apply_table`) applies each permutation segment
+  as one composed gather (:mod:`repro.ir.segment`) and each
+  controlled-unitary row with the *fired-slice* kernel: the state is viewed
+  as ``(d,) * n + (batch,)``, every control axis is fixed to its firing
+  value(s) by basic indexing
+  (:meth:`repro.qudit.operations.BaseOp.fired_slices`), and one
+  fixed-subscript ``einsum`` along the target axis rewrites each fired slice
+  in place (:func:`fired_einsum`) — a row with one ``|l⟩`` control touches
+  ``1/d`` of the basis.  Peak memory is the input, one working copy and one
+  fired slice.
 * ``sparse`` (:mod:`repro.sim.sparse`) — evolves only the live amplitudes
   of a low-occupancy state by index arithmetic, densifying past a threshold.
 * ``streaming`` (:mod:`repro.sim.streaming`) — applies each fused segment
@@ -18,8 +24,10 @@ fully vectorized numpy — no per-index Python loop anywhere:
   to ``np.memmap`` when the statevector exceeds the budget.
 
 Further engines plug in through :func:`register_backend`.  The dense
-engine's per-op :meth:`SimulationBackend.apply_op` walk is the plain
-reference the fused table paths of every engine are checked against.
+engine's per-op :meth:`SimulationBackend.apply_op` walk — one cached gather
+table per permutation op, one masked whole-cube ``einsum`` per unitary op —
+is the plain reference the fused table paths of every engine are checked
+against.
 
 Every engine accepts data whose *leading* axis is the flat basis index of
 size ``dim ** num_wires``; trailing axes are batch dimensions carried through
@@ -82,13 +90,16 @@ class SimulationBackend:
         permutation rows between two unitaries costs one scatter, not
         thousands.  Composed tables are interned on the pools, so repeated
         applications (and derived tables) reuse them.  Unitary rows go
-        through the engine's own ``_apply_unitary``; both kernels carry
-        trailing batch axes natively.  Integer index composition is exact,
-        so fusing never changes a single bit of the result.
+        through the engine's fired-slice kernel :meth:`_apply_unitary_row`,
+        which touches only the states where the row's controls fire; both
+        kernels carry trailing batch axes natively.  Integer index
+        composition is exact, so fusing never changes a single bit of the
+        result.
         """
         from repro.ir.segment import segment_table
 
         dim, num_wires = table.dim, table.num_wires
+        owned = False
         for segment in segment_table(table):
             if segment.kind == "perm":
                 gather = segment.index_table()
@@ -96,7 +107,10 @@ class SimulationBackend:
                 out[gather] = data
                 data = out
             else:
-                data = self._apply_unitary(data, segment.op(), dim, num_wires)
+                data = self._apply_unitary_row(
+                    data, segment.op(), dim, num_wires, owned=owned
+                )
+            owned = True
         return data
 
     def apply_table_batch(self, data: np.ndarray, table) -> np.ndarray:
@@ -129,8 +143,58 @@ class SimulationBackend:
     def _apply_unitary(self, data, op, dim, num_wires) -> np.ndarray:
         raise NotImplementedError
 
+    def _apply_unitary_row(
+        self, data: np.ndarray, op, dim: int, num_wires: int, *, owned: bool = False
+    ) -> np.ndarray:
+        """The fused path's controlled-unitary kernel: fired slices only.
+
+        Works in place on ``data`` when the caller ``owned`` it (a C-ordered
+        array of the result dtype it made itself), else on one copy.  A row
+        without controls returns the einsum's own output instead.
+        """
+        matrix = op.gate.matrix()
+        dtype = np.result_type(data.dtype, matrix.dtype)
+        if not op.controls:
+            (index,) = op.fired_slices(dim, num_wires)
+            cube = data.reshape(unitary_view_shape(data, dim, num_wires))
+            return fired_einsum(matrix, cube, index, op.target).reshape(data.shape)
+        if not (owned and data.dtype == dtype and data.flags.c_contiguous):
+            data = np.array(data, dtype=dtype, order="C")
+        cube = data.reshape(unitary_view_shape(data, dim, num_wires))
+        for index in op.fired_slices(dim, num_wires):
+            cube[index] = fired_einsum(matrix, cube, index, op.target)
+        return data
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def unitary_view_shape(data: np.ndarray, dim: int, num_wires: int) -> tuple:
+    """``(d,) * n + (batch,)``: the basis view the unitary kernels index.
+
+    Trailing batch axes fold into one (size 1 for a single state).
+    """
+    batch = int(np.prod(data.shape[1:], dtype=np.int64))
+    return (dim,) * num_wires + (batch,)
+
+
+def fired_einsum(matrix: np.ndarray, cube: np.ndarray, index: tuple, target: int) -> np.ndarray:
+    """The gate applied along the target axis of ``cube[index]`` (a new array).
+
+    ``index`` is a basic-index tuple over the wire axes of ``cube`` (as
+    :meth:`~repro.qudit.operations.BaseOp.fired_slices` yields, possibly with
+    further free axes fixed by a tiler).  The einsum's subscripts are fixed
+    by the view's rank and target position, and with the default
+    non-optimized einsum every output element is the same fixed-order sum
+    over the gate index whatever the view's extents, so tiling a view or
+    batching states never changes a bit of the result.
+    """
+    view = cube[index]
+    axis = sum(isinstance(entry, slice) for entry in index[:target])
+    in_axes = list(range(2, view.ndim + 2))
+    out_axes = list(in_axes)
+    in_axes[axis], out_axes[axis] = 1, 0
+    return np.einsum(matrix, [0, 1], view, in_axes, out_axes)
 
 
 class DenseBackend(SimulationBackend):

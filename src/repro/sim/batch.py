@@ -26,7 +26,7 @@ from repro.exceptions import DimensionError, WireError
 from repro.qudit.circuit import QuditCircuit
 from repro.sim.backend import BackendLike, get_backend
 from repro.sim.statevector import Statevector
-from repro.utils.indexing import digits_to_index, indices_to_digits
+from repro.utils.indexing import indices_to_digits
 
 
 class BatchedStatevector:
@@ -82,14 +82,20 @@ class BatchedStatevector:
         if not rows:
             raise DimensionError("from_basis_states needs at least one basis state")
         num_wires = len(rows[0])
-        batch = cls(num_wires, dim, len(rows), backend=backend)
-        batch.data[0, :] = 0.0
         for b, digits in enumerate(rows):
             if len(digits) != num_wires:
                 raise WireError(
                     f"basis state {b} has {len(digits)} digits, expected {num_wires}"
                 )
-            batch.data[digits_to_index(digits, dim), b] = 1.0
+        batch = cls(num_wires, dim, len(rows), backend=backend)
+        states = np.asarray(rows, dtype=np.int64).reshape(len(rows), num_wires)
+        bad = (states < 0) | (states >= dim)
+        if bad.any():
+            digit = int(states[bad][0])
+            raise WireError(f"digit {digit} out of range for dimension {dim}")
+        batch.data[0, :] = 0.0
+        strides = dim ** np.arange(num_wires - 1, -1, -1, dtype=np.int64)
+        batch.data[states @ strides, np.arange(len(rows))] = 1.0
         return batch
 
     @classmethod

@@ -352,7 +352,9 @@ class SparseBackend(SimulationBackend):
                 out[gather] = data
                 data = out
             else:
-                data = engine._apply_unitary(data, segment.op(), dim, num_wires)
+                data = engine._apply_unitary_row(
+                    data, segment.op(), dim, num_wires, owned=True
+                )
         return data
 
     def _expand_unitary_row(self, keys, amplitudes, op, table, span):

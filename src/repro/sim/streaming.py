@@ -15,15 +15,20 @@ Results are **bit-for-bit** equal to the ``dense`` engine:
   (:meth:`repro.ir.segment.Segment.inverse_index_table`) — integer
   composition and gather are exact, and gather-form writes are sequential,
   which is what makes tiling natural;
-* unitary rows run the same ``np.einsum("ij,ajbk->aibk", ...)`` contraction
-  as the dense engine over ``(a, b)`` blocks of the ``(pre, d, post, B)``
-  cube — with the default non-optimized einsum every output element is the
-  same fixed-order sum over the gate index regardless of block extents, so
-  blocking does not change a single ulp.
+* unitary rows run the dense engine's fired-slice kernel
+  (:func:`repro.sim.backend.fired_einsum`): the output starts as a tiled
+  copy of the input, then each fired slice of the ``(d,) * n + (B,)`` view
+  is cut into tiles along its free wire axes (leading axes first) and each
+  tile is rewritten by the same fixed-subscript einsum — with the default
+  non-optimized einsum every output element is the same fixed-order sum
+  over the gate index regardless of tile extents, so tiling does not change
+  a single ulp.  A row without controls fires on the whole cube and is
+  tiled like any other slice.
 
 The minimum tile is one basis row (``B`` amplitudes) for gathers and one
-``(1, d, 1, B)`` pencil for unitaries; budgets smaller than that still
-simulate correctly, just without the residency bound for the single tile.
+pencil along the target axis (``d · B`` amplitudes) for unitaries; budgets
+smaller than that still simulate correctly, just without the residency
+bound for the single tile.
 """
 
 from __future__ import annotations
@@ -37,7 +42,12 @@ import numpy as np
 
 from repro.exceptions import GateError
 from repro.qudit.circuit import QuditCircuit
-from repro.sim.backend import SimulationBackend, register_backend
+from repro.sim.backend import (
+    SimulationBackend,
+    fired_einsum,
+    register_backend,
+    unitary_view_shape,
+)
 
 #: Default per-array budget: small enough to exercise tiling on the large
 #: lowered circuits, large enough that every test-sized state stays in RAM.
@@ -65,6 +75,11 @@ def parse_memory_budget(text) -> int:
     if value < 1:
         raise GateError(f"memory budget must be positive, got {text!r}")
     return value
+
+
+def _row_bytes(data: np.ndarray) -> int:
+    """Bytes of one basis row (all batch columns)."""
+    return data.dtype.itemsize * int(np.prod(data.shape[1:], dtype=np.int64))
 
 
 class StreamingBackend(SimulationBackend):
@@ -117,42 +132,63 @@ class StreamingBackend(SimulationBackend):
     def _permute_tiled(self, data: np.ndarray, inverse_gather: np.ndarray) -> np.ndarray:
         """Gather form ``out[j] = data[inverse_gather[j]]``, one tile at a time."""
         out = self._alloc(data.shape, data.dtype)
-        row_bytes = data.dtype.itemsize * (
-            int(np.prod(data.shape[1:], dtype=np.int64)) if data.ndim > 1 else 1
-        )
-        step = self._tile_rows(data.shape[0], row_bytes)
+        step = self._tile_rows(data.shape[0], _row_bytes(data))
         for lo in range(0, data.shape[0], step):
             out[lo : lo + step] = data[inverse_gather[lo : lo + step]]
             self._drop_pages(out)
         self._drop_pages(data)
         return out
 
-    def _unitary_tiled(self, data: np.ndarray, op, dim: int, num_wires: int) -> np.ndarray:
-        """The dense einsum kernel over ``(a, b)`` blocks of the state cube."""
-        matrix = op.gate.matrix()
-        pre = dim**op.target
-        post = dim ** (num_wires - 1 - op.target)
-        out = self._alloc(data.shape, data.dtype)
-        cube_in = data.reshape(pre, dim, post, -1)
-        cube_out = out.reshape(pre, dim, post, -1)
-        batch = cube_in.shape[3]
-        mask = op.control_mask(dim, num_wires, flat=True).reshape(pre, dim, post, 1)
-        # A block's working set is ~3x its size (input view, rotated, where);
-        # the minimum grain is one (1, dim, 1, batch) pencil.
-        cell = dim * batch * data.dtype.itemsize
-        block_budget = max(self.memory_budget // 3, 1)
-        a_step = max(1, block_budget // max(post * cell, 1))
-        b_step = post if a_step > 1 else max(1, block_budget // cell)
-        for a0 in range(0, pre, a_step):
-            a1 = min(a0 + a_step, pre)
-            for b0 in range(0, post, b_step):
-                b1 = min(b0 + b_step, post)
-                block = cube_in[a0:a1, :, b0:b1, :]
-                rotated = np.einsum("ij,ajbk->aibk", matrix, block)
-                cube_out[a0:a1, :, b0:b1, :] = np.where(
-                    mask[a0:a1, :, b0:b1, :], rotated, block
-                )
+    def _copy_tiled(self, data: np.ndarray, out: np.ndarray) -> None:
+        """``out[...] = data`` one row tile at a time."""
+        step = self._tile_rows(data.shape[0], _row_bytes(data))
+        for lo in range(0, data.shape[0], step):
+            out[lo : lo + step] = data[lo : lo + step]
             self._drop_pages(out)
+
+    def _tiles(self, index: tuple, target: int, shape: tuple, limit: int):
+        """Split one fired slice into tiles of at most ``limit`` amplitudes.
+
+        Free wire axes (not the target) are fixed to single digits, leading
+        axes first, until a tile fits; the minimum grain is one pencil along
+        the target axis (all batch columns).
+        """
+        extents = [
+            len(range(*entry.indices(shape[axis]))) if isinstance(entry, slice) else 1
+            for axis, entry in enumerate(index)
+        ]
+        if int(np.prod(extents, dtype=np.int64)) * shape[-1] <= limit:
+            yield index
+            return
+        for axis, entry in enumerate(index):
+            if axis != target and isinstance(entry, slice):
+                for digit in range(*entry.indices(shape[axis])):
+                    fixed = index[:axis] + (digit,) + index[axis + 1 :]
+                    yield from self._tiles(fixed, target, shape, limit)
+                return
+        yield index
+
+    def _unitary_tiled(self, data: np.ndarray, op, dim: int, num_wires: int) -> np.ndarray:
+        """The dense fired-slice kernel, each fired slice cut into tiles.
+
+        The output starts as a tiled copy of the input; then every tile of
+        every fired slice is rewritten by :func:`~repro.sim.backend.fired_einsum`,
+        whose per-element sums do not depend on the tile extents, so the
+        result equals the dense engine's bit for bit.
+        """
+        matrix = op.gate.matrix()
+        out = self._alloc(data.shape, np.result_type(data.dtype, matrix.dtype))
+        self._copy_tiled(data, out)
+        shape = unitary_view_shape(data, dim, num_wires)
+        cube_in = data.reshape(shape)
+        cube_out = out.reshape(shape)
+        # A tile's working set is ~2x its size (the einsum output and the
+        # written slice of ``out``).
+        limit = max(1, self.memory_budget // (2 * out.dtype.itemsize))
+        for fired in op.fired_slices(dim, num_wires):
+            for index in self._tiles(fired, op.target, shape, limit):
+                cube_out[index] = fired_einsum(matrix, cube_in, index, op.target)
+                self._drop_pages(out)
         self._drop_pages(data)
         return out
 
@@ -182,6 +218,9 @@ class StreamingBackend(SimulationBackend):
         return self._permute_tiled(data, inverse)
 
     def _apply_unitary(self, data, op, dim, num_wires):
+        return self._unitary_tiled(data, op, dim, num_wires)
+
+    def _apply_unitary_row(self, data, op, dim, num_wires, *, owned=False):
         return self._unitary_tiled(data, op, dim, num_wires)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

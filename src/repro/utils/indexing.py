@@ -74,10 +74,16 @@ def indices_to_digits(indices, dim: int, num_wires: int) -> np.ndarray:
     """Vectorized :func:`index_to_digits`: digits of many flat indices at once.
 
     Returns an integer array of shape ``indices.shape + (num_wires,)`` whose
-    last axis holds the digit tuple (wire 0 most significant).
+    last axis holds the digit tuple (wire 0 most significant).  Digits are
+    peeled from the least significant wire up, each one a remainder and an
+    in-place floor division by the scalar ``dim`` (numpy's fast path for a
+    scalar integer divisor).
     """
     if dim < 2:
         raise DimensionError(f"dimension must be at least 2, got {dim}")
-    indices = np.asarray(indices, dtype=np.int64)
-    strides = dim ** np.arange(num_wires - 1, -1, -1, dtype=np.int64)
-    return (indices[..., None] // strides) % dim
+    quotient = np.array(indices, dtype=np.int64)
+    digits = np.empty(quotient.shape + (num_wires,), dtype=np.int64)
+    for wire in range(num_wires - 1, -1, -1):
+        np.remainder(quotient, dim, out=digits[..., wire])
+        quotient //= dim
+    return digits

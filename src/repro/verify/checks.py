@@ -261,6 +261,22 @@ def structural_check(circuit) -> Dict[str, int]:
     }
 
 
+def require_permutation_rows(circuit) -> None:
+    """Raise naming the first dense-unitary row: the classical checks map
+    basis states, which only a permutation circuit does."""
+    from repro.ir.table import OP_UNITARY
+
+    table = circuit.to_table()
+    rows = np.flatnonzero(table.opcode == OP_UNITARY)
+    if rows.size:
+        row = int(rows[0])
+        label = table.pools.unitaries.gate(int(table.payload[row])).label
+        raise VerificationError(
+            f"circuit {circuit.name!r} row {row} applies the dense unitary gate "
+            f"{label!r}; a basis-state check needs a permutation circuit"
+        )
+
+
 # ----------------------------------------------------------------------
 # Tiers 2 & 4 — classical basis-map kernels
 # ----------------------------------------------------------------------
@@ -306,10 +322,25 @@ def exhaustive_kernel(
     clean = list(clean_wires)
     dim, num_wires = circuit.dim, circuit.num_wires
     table = circuit.to_table().permutation_index_table()
+    # Blocks are whole multiples of the largest d^low <= EXHAUSTIVE_CHUNK
+    # states, so a block's source digits are its few high-digit prefixes
+    # over one shared low-digit grid of the reshaped basis.
+    low = 0
+    while low < num_wires and dim ** (low + 1) <= EXHAUSTIVE_CHUNK:
+        low += 1
+    span = dim**low
+    grid = np.indices((dim,) * low).reshape(low, span).T
+    high = num_wires - low
+    step = span * max(1, EXHAUSTIVE_CHUNK // span)
     checked = 0
-    for start in range(0, table.size, EXHAUSTIVE_CHUNK):
-        stop = min(start + EXHAUSTIVE_CHUNK, table.size)
-        sources = indices_to_digits(np.arange(start, stop), dim, num_wires)
+    for start in range(0, table.size, step):
+        stop = min(start + step, table.size)
+        sources = np.empty((stop - start, num_wires), dtype=np.int64)
+        blocks = sources.reshape(-1, span, num_wires)
+        blocks[:, :, high:] = grid
+        blocks[:, :, :high] = indices_to_digits(
+            np.arange(start // span, stop // span), dim, high
+        )[:, None, :]
         images = indices_to_digits(table[start:stop], dim, num_wires)
         if clean:
             contract = ~sources[:, clean].any(axis=1)

@@ -82,11 +82,19 @@ class TieredVerifier:
     # Shared plumbing
     # ------------------------------------------------------------------
 
-    def _structural(self, circuit, report: VerificationReport) -> bool:
-        """Run tier 1; on failure finalize ``report`` and return ``False``."""
+    def _structural(
+        self, circuit, report: VerificationReport, *, permutation: bool = False
+    ) -> bool:
+        """Run tier 1; on failure finalize ``report`` and return ``False``.
+
+        ``permutation`` also fails a circuit holding a dense-unitary row,
+        which the classical (basis-state) checks cannot map.
+        """
         report.tier_reached = TIER_STRUCTURAL
         try:
             stats = checks.structural_check(circuit)
+            if permutation:
+                checks.require_permutation_rows(circuit)
         except VerificationError as exc:
             self._fail(report, TIER_STRUCTURAL, exc)
             return False
@@ -201,7 +209,7 @@ class TieredVerifier:
         fits ``max_basis_states``, else seeded samples, else undecided."""
         budget = self.budget
         report = VerificationReport(kind=kind, circuit=circuit.name, status=STATUS_UNDECIDED)
-        if not self._structural(circuit, report):
+        if not self._structural(circuit, report, permutation=True):
             return report
         size = checks.basis_size(circuit.dim, circuit.num_wires)
         if size <= budget.max_basis_states:

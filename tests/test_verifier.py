@@ -753,3 +753,34 @@ class TestCleanSubspace:
             VerificationError, match="deviates .* on the clean-ancilla subspace"
         ):
             checks.unitary_clean_subspace(circuit, np.eye(9), [0, 2], [1])
+
+
+# ----------------------------------------------------------------------
+# Classical checks on a circuit with a dense-unitary row fail, not raise
+# ----------------------------------------------------------------------
+class TestClassicalChecksOnUnitaryRows:
+    @staticmethod
+    def circuit():
+        circuit = QuditCircuit(2, 3, name="eye")
+        circuit.add_gate(XPerm.transposition(3, 0, 1), 0)
+        circuit.add_gate(SingleQuditUnitary(np.eye(3), label="I3"), 1)
+        return circuit
+
+    EXPECTED = (
+        "circuit 'eye' row 1 applies the dense unitary gate 'I3'; "
+        "a basis-state check needs a permutation circuit"
+    )
+
+    @pytest.mark.parametrize("budget", ["standard", "smoke"])
+    @pytest.mark.parametrize("method", ["permutation", "wires"])
+    def test_failed_report_names_the_first_unitary_row(self, budget, method):
+        verifier = TieredVerifier(budget)
+        circuit = self.circuit()
+        if method == "permutation":
+            report = verifier.verify_permutation(circuit, mct_spec([0], 1, 3))
+        else:
+            report = verifier.verify_wires_preserved(circuit, [0])
+        assert report.status == "failed"
+        assert report.decided_by == "structural"
+        assert report.error == self.EXPECTED
+        assert not report.ok
